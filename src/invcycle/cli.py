@@ -13,7 +13,16 @@ import json
 import sys
 from pathlib import Path
 
-from .jsonio import InputError, ParseError, dumps_canonical, gram_to_json, parse_gram
+from .jsonio import (
+    InputError,
+    ParseError,
+    dumps_canonical,
+    gram_to_json,
+    load_json,
+    parse_branch_spec,
+    parse_gram,
+    parse_surface_config,
+)
 from .kodaira import delta, euler_number, fiber, fiber_profile, quadratic_base_change_fiber
 from .lattice import (
     BinaryEvenForm,
@@ -30,7 +39,6 @@ from .pipeline import (
     run_example,
 )
 from .surfaces import quadratic_base_change
-from .jsonio import load_json, parse_branch_spec, parse_surface_config
 
 
 def _parse_gram_arg(text: str):
@@ -68,7 +76,7 @@ def _cmd_fiber(args) -> int:
         "type": f.token,
         "euler_number": euler_number(f),
         "components": profile.components,
-        "root_lattice_disc": profile.root_lattice.disc(),
+        "root_lattice_disc": profile.root_disc,
         "contribution_denominators": sorted(profile.contribution_denominators),
         "base_change_image": quadratic_base_change_fiber(f).token,
         "euler_defect": delta(f),

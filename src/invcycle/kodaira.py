@@ -1,18 +1,46 @@
 """Kodaira fiber catalog.
 
-Euler numbers, additive/star classification, images under a quadratic
-ramified base change, component counts with their root lattices, and the
-denominators that local height contributions can produce.
+One table gives, per fixed fiber type, the Euler number, the component
+count, the type, rank and discriminant of the root lattice spanned by the
+non-identity components, the denominators that local height
+contributions can produce, and the image under a quadratic base change
+ramified at the fiber; the I_n and I_n* series follow closed-form rules.
+These are closed forms (Schuett-Shioda, Mordell-Weil Lattices, ch. 5-6):
+no Gram matrix is built unless a caller asks a profile for its
+root_lattice, which the tests do to cross-check the catalog.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import GramLattice, root_gram
 
-_FIXED_KINDS = ("II", "III", "IV", "II*", "III*", "IV*")
 _PARAMETRIC_KINDS = ("I", "I*")
+
+
+class _Row(NamedTuple):
+    euler: int
+    components: int
+    root_type: str | None  # Dynkin type; None when there is no root lattice
+    root_rank: int  # components - 1
+    root_disc: int
+    denominators: tuple[int, ...]
+    image: str  # token of the fiber over a ramified quadratic base change
+
+
+# Star images come from the published table; non-star images follow from
+# the doubled vanishing order (see base_change_source).
+_CATALOG = {
+    "II": _Row(2, 1, None, 0, 1, (1,), "IV"),
+    "III": _Row(3, 2, "A", 1, 2, (1, 2), "I0*"),
+    "IV": _Row(4, 3, "A", 2, 3, (1, 3), "IV*"),
+    "IV*": _Row(8, 7, "E", 6, 3, (1, 3), "IV"),
+    "III*": _Row(9, 8, "E", 7, 2, (1, 2), "I0*"),
+    "II*": _Row(10, 9, "E", 8, 1, (1,), "IV*"),
+}
 
 
 class FiberTokenError(ValueError):
@@ -38,7 +66,7 @@ class KodairaFiber:
         if self.kind in _PARAMETRIC_KINDS:
             if not isinstance(self.n, int) or self.n < 0:
                 raise ValueError(f"{self.kind} fiber needs an integer n >= 0")
-        elif self.kind in _FIXED_KINDS:
+        elif self.kind in _CATALOG:
             if self.n is not None:
                 raise ValueError(f"{self.kind} fiber takes no parameter")
         else:
@@ -63,7 +91,7 @@ def fiber(token: str) -> KodairaFiber:
     """Parse a fiber token: 'I0', 'I12', 'I0*', 'II', 'III*', 'IV*', ..."""
     if not isinstance(token, str):
         raise FiberTokenError(f"fiber token must be a string, got {type(token).__name__}")
-    if token in _FIXED_KINDS:
+    if token in _CATALOG:
         return KodairaFiber(token)
     # Parametric series; note 'II*' is fixed while 'I1*' is parametric.
     if token.startswith("I") and len(token) > 1:
@@ -82,43 +110,20 @@ def euler_number(f: KodairaFiber) -> int:
         return f.n
     if f.kind == "I*":
         return 6 + f.n
-    return {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}[f.kind]
-
-
-# Image of each fiber under a quadratic base change ramified at its point.
-# Star rows come from the published table; non-star rows follow from the
-# doubled vanishing order and are tagged as derived.
-_BASE_CHANGE_SOURCE = {
-    "I": "derived",
-    "II": "derived",
-    "III": "derived",
-    "IV": "derived",
-    "I*": "paper",
-    "II*": "paper",
-    "III*": "paper",
-    "IV*": "paper",
-}
+    return _CATALOG[f.kind].euler
 
 
 def quadratic_base_change_fiber(f: KodairaFiber) -> KodairaFiber:
     """Fiber type over a branch point of a quadratic base change."""
-    if f.kind == "I":
+    if f.kind in _PARAMETRIC_KINDS:
         return KodairaFiber("I", 2 * f.n)
-    if f.kind == "I*":
-        return KodairaFiber("I", 2 * f.n)
-    return {
-        "II": KodairaFiber("IV"),
-        "III": KodairaFiber("I*", 0),
-        "IV": KodairaFiber("IV*"),
-        "II*": KodairaFiber("IV*"),
-        "III*": KodairaFiber("I*", 0),
-        "IV*": KodairaFiber("IV"),
-    }[f.kind]
+    return fiber(_CATALOG[f.kind].image)
 
 
 def base_change_source(f: KodairaFiber) -> str:
-    """Provenance tag ('paper' or 'derived') of the base-change table row."""
-    return _BASE_CHANGE_SOURCE[f.kind]
+    """Provenance tag of the base-change image: 'paper' for the star rows
+    of the published table, 'derived' for the rest."""
+    return "paper" if is_star(f) else "derived"
 
 
 def delta(f: KodairaFiber) -> int:
@@ -126,7 +131,7 @@ def delta(f: KodairaFiber) -> int:
 
     delta = (2 e(F) - e(F')) / 12; always 0 or 1, and 1 exactly for the
     star fibers.  The arithmetic is recomputed here as a self-check of
-    the two tables.
+    the Euler numbers and base-change images.
     """
     doubled = 2 * euler_number(f) - euler_number(quadratic_base_change_fiber(f))
     if doubled % 12 != 0:
@@ -137,58 +142,48 @@ def delta(f: KodairaFiber) -> int:
     return value
 
 
-_EMPTY = GramLattice([])
-
-
 @dataclass(frozen=True)
 class FiberProfile:
     """Component-level data of a fiber inside the Neron-Severi lattice."""
 
     euler: int
     components: int
-    root_lattice: GramLattice  # negated Cartan matrix; rank components - 1
+    root_type: str | None  # Dynkin type; None when there is no root lattice
+    root_rank: int  # components - 1
+    root_disc: int
     odd_multiplicity_components: int | None  # star fibers only
     contribution_denominators: frozenset[int]
 
+    @property
+    def root_lattice(self) -> GramLattice:
+        """The negated Cartan matrix, built on demand."""
+        if self.root_type is None:
+            return GramLattice([])
+        return root_gram(self.root_type, self.root_rank).negate()
+
+
+def _divisors(n: int) -> frozenset[int]:
+    """Divisors of n >= 1, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return frozenset(small + [n // d for d in small])
+
 
 def fiber_profile(f: KodairaFiber) -> FiberProfile:
-    e = euler_number(f)
+    n = f.n
     if f.kind == "I":
-        components = max(f.n, 1)
-        root = root_gram("A", f.n - 1) if f.n >= 2 else _EMPTY
-        denoms = frozenset(k for k in range(1, f.n + 1) if f.n % k == 0) if f.n >= 2 else frozenset({1})
-        odd = None
-    elif f.kind == "I*":
-        components = 5 + f.n
-        root = root_gram("D", 4 + f.n)
-        denoms = frozenset({1, 2}) if f.n == 0 else frozenset({1, 2, 4})
-        odd = 4
-    else:
-        components = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[f.kind]
-        root = {
-            "II": _EMPTY,
-            "III": root_gram("A", 1),
-            "IV": root_gram("A", 2),
-            "IV*": root_gram("E", 6),
-            "III*": root_gram("E", 7),
-            "II*": root_gram("E", 8),
-        }[f.kind]
-        denoms = {
-            "II": frozenset({1}),
-            "III": frozenset({1, 2}),
-            "IV": frozenset({1, 3}),
-            "IV*": frozenset({1, 3}),
-            "III*": frozenset({1, 2}),
-            "II*": frozenset({1}),
-        }[f.kind]
-        odd = 4 if is_star(f) else None
-    profile = FiberProfile(
-        euler=e,
-        components=components,
-        root_lattice=root.negate() if root.rank else root,
-        odd_multiplicity_components=odd,
-        contribution_denominators=denoms,
+        if n < 2:
+            return FiberProfile(n, 1, None, 0, 1, None, frozenset({1}))
+        return FiberProfile(n, n, "A", n - 1, n, None, _divisors(n))
+    if f.kind == "I*":
+        denoms = frozenset({1, 2} if n == 0 else {1, 2, 4})
+        return FiberProfile(6 + n, 5 + n, "D", 4 + n, 4, 4, denoms)
+    row = _CATALOG[f.kind]
+    return FiberProfile(
+        euler=row.euler,
+        components=row.components,
+        root_type=row.root_type,
+        root_rank=row.root_rank,
+        root_disc=row.root_disc,
+        odd_multiplicity_components=4 if is_star(f) else None,
+        contribution_denominators=frozenset(row.denominators),
     )
-    if profile.root_lattice.rank != components - 1:
-        raise InternalInconsistencyError(f"root lattice rank mismatch for {f}")
-    return profile

@@ -519,8 +519,9 @@ def enumerate_even_overlattices(lattice: GramLattice, m: int) -> list[GramLattic
 def root_gram(kind: str, rank: int) -> GramLattice:
     """Positive-definite root lattice Gram matrix of Dynkin type A, D or E.
 
-    Determinants come out of the matrix itself: A_n has n + 1, D_n has 4,
-    E6/E7/E8 have 3/2/1.
+    The closed forms for rank and determinant (A_n has n + 1, D_n has 4,
+    E6/E7/E8 have 3/2/1) live in the `kodaira` catalog; this matrix is
+    the reference the tests check them against.
     """
     if kind == "A":
         if rank < 1:

@@ -25,23 +25,24 @@ class ShiodaTateResult:
     trivial_rank: int  # 2 + sum over fibers of (components - 1)
     mw_rank: int
     trivial_disc: int  # product of |det| of the fiber root lattices
-    mwl_disc: Fraction | None
 
 
-def _trivial_summands(config: SurfaceConfig) -> tuple[int, int]:
-    rank = 2
-    disc = 1
+def _trivial_summands(config: SurfaceConfig) -> tuple[int, int, int]:
+    """One walk over the fibers: the trivial lattice's rank and
+    discriminant, and the lcm D of the local height contribution
+    denominators."""
+    rank, disc, d = 2, 1, 1
     for _, f in config.fibers:
         profile = fiber_profile(f)
-        rank += profile.components - 1
-        disc *= profile.root_lattice.disc()
-    return rank, disc
+        rank += profile.root_rank
+        disc *= profile.root_disc
+        d = math.lcm(d, *profile.contribution_denominators)
+    return rank, disc, d
 
 
-def mw_rank(config: SurfaceConfig, rho: int) -> int:
+def _rank_over(trivial_rank: int, rho: int) -> int:
     if not isinstance(rho, int) or rho < 1:
         raise ValueError("rho must be a positive integer")
-    trivial_rank, _ = _trivial_summands(config)
     r = rho - trivial_rank
     if r < 0:
         raise PicardTooSmallError(
@@ -50,15 +51,25 @@ def mw_rank(config: SurfaceConfig, rho: int) -> int:
     return r
 
 
+def _mwl_disc(trivial_disc: int, disc_ns: int, torsion_order: int) -> Fraction:
+    if not isinstance(disc_ns, int) or disc_ns < 1:
+        raise ValueError("disc_ns must be a positive integer")
+    if not isinstance(torsion_order, int) or torsion_order < 1:
+        raise ValueError("torsion order must be a positive integer")
+    return Fraction(disc_ns * torsion_order * torsion_order, trivial_disc)
+
+
+def mw_rank(config: SurfaceConfig, rho: int) -> int:
+    return _rank_over(_trivial_summands(config)[0], rho)
+
+
 def shioda_tate(config: SurfaceConfig, rho: int) -> ShiodaTateResult:
-    trivial_rank, trivial_disc = _trivial_summands(config)
-    r = mw_rank(config, rho)
+    trivial_rank, trivial_disc, _ = _trivial_summands(config)
     return ShiodaTateResult(
         rho=rho,
         trivial_rank=trivial_rank,
-        mw_rank=r,
+        mw_rank=_rank_over(trivial_rank, rho),
         trivial_disc=trivial_disc,
-        mwl_disc=None,
     )
 
 
@@ -71,13 +82,10 @@ def mwl_discriminant(
     determinants), in lowest terms.  A rank-0 Mordell-Weil group must
     come out as exactly 1.
     """
-    if not isinstance(disc_ns, int) or disc_ns < 1:
-        raise ValueError("disc_ns must be a positive integer")
-    if not isinstance(torsion_order, int) or torsion_order < 1:
-        raise ValueError("torsion order must be a positive integer")
-    mw_rank(config, rho)  # validates rho against the trivial lattice
-    _, trivial_disc = _trivial_summands(config)
-    return Fraction(disc_ns * torsion_order * torsion_order, trivial_disc)
+    trivial_rank, trivial_disc, _ = _trivial_summands(config)
+    disc = _mwl_disc(trivial_disc, disc_ns, torsion_order)
+    _rank_over(trivial_rank, rho)  # validates rho against the trivial lattice
+    return disc
 
 
 def mwl_denominator_bound(config: SurfaceConfig, r: int) -> int:
@@ -88,11 +96,7 @@ def mwl_denominator_bound(config: SurfaceConfig, r: int) -> int:
     """
     if not isinstance(r, int) or r < 0:
         raise ValueError("Mordell-Weil rank must be a nonnegative integer")
-    d = 1
-    for _, f in config.fibers:
-        for entry in fiber_profile(f).contribution_denominators:
-            d = math.lcm(d, entry)
-    return d**r
+    return _trivial_summands(config)[2] ** r
 
 
 @dataclass(frozen=True)
@@ -112,28 +116,16 @@ def check_disc_consistency(
     The denominator of the implied disc(MWL) must divide D^r; a rank-0
     Mordell-Weil group forces disc(MWL) = 1 exactly.
     """
-    r = mw_rank(config, rho)
-    disc = mwl_discriminant(config, candidate_disc, rho, torsion_order)
-    bound = mwl_denominator_bound(config, r)
-    if r == 0:
-        if disc != 1:
-            return DiscConsistency(
-                consistent=False,
-                mw_rank=r,
-                mwl_disc=disc,
-                denominator_bound=bound,
-                reason=f"rank-0 Mordell-Weil lattice must have discriminant 1, got {disc}",
-            )
-        return DiscConsistency(True, r, disc, bound, None)
-    if bound % disc.denominator != 0:
-        return DiscConsistency(
-            consistent=False,
-            mw_rank=r,
-            mwl_disc=disc,
-            denominator_bound=bound,
-            reason=(
-                f"disc(MWL) = {disc} has denominator {disc.denominator}, "
-                f"which does not divide the bound {bound}"
-            ),
+    trivial_rank, trivial_disc, d = _trivial_summands(config)
+    r = _rank_over(trivial_rank, rho)
+    disc = _mwl_disc(trivial_disc, candidate_disc, torsion_order)
+    bound = d**r
+    reason = None
+    if r == 0 and disc != 1:
+        reason = f"rank-0 Mordell-Weil lattice must have discriminant 1, got {disc}"
+    elif r > 0 and bound % disc.denominator != 0:
+        reason = (
+            f"disc(MWL) = {disc} has denominator {disc.denominator}, "
+            f"which does not divide the bound {bound}"
         )
-    return DiscConsistency(True, r, disc, bound, None)
+    return DiscConsistency(reason is None, r, disc, bound, reason)

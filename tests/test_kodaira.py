@@ -1,9 +1,12 @@
 """Kodaira fiber arithmetic: tokens, Euler numbers, base change, profiles."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invcycle import cli, kodaira
 from invcycle.kodaira import (
     FiberTokenError,
     KodairaFiber,
@@ -15,6 +18,8 @@ from invcycle.kodaira import (
     is_star,
     quadratic_base_change_fiber,
 )
+from invcycle.lattice import root_gram
+from invcycle.pipeline import run_example
 
 FIXED_EULER = {
     "II": 2,
@@ -165,3 +170,56 @@ class TestProfiles:
         for tok in all_tokens(12):
             f = fiber(tok)
             assert fiber_profile(f).euler == euler_number(f)
+
+
+class TestCatalogAgainstMatrices:
+    """The closed forms of the catalog agree with the Cartan matrices."""
+
+    @pytest.mark.parametrize(
+        "tok",
+        list(FIXED_EULER)
+        + [f"I{n}" for n in range(41)]
+        + [f"I{n}*" for n in range(21)],
+    )
+    def test_root_lattice_closed_forms(self, tok):
+        f = fiber(tok)
+        profile = fiber_profile(f)
+        assert profile.root_rank == profile.components - 1
+        if profile.root_type is None:
+            assert (profile.root_rank, profile.root_disc) == (0, 1)
+        else:
+            gram = root_gram(profile.root_type, profile.root_rank)
+            assert profile.root_rank == gram.rank
+            assert profile.root_disc == gram.disc()
+        if f.kind == "I":
+            m = max(f.n, 1)
+            assert profile.contribution_denominators == {d for d in range(1, m + 1) if m % d == 0}
+
+
+def _fiber_info(capsys, token):
+    assert cli.main(["fiber", "info", token]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestLargeISeries:
+    def test_i_million_closed_form(self, capsys):
+        doc = _fiber_info(capsys, "I1000000")
+        assert doc["components"] == 10**6
+        assert doc["root_lattice_disc"] == 10**6
+        divisors = [2**i * 5**j for i in range(7) for j in range(7)]
+        assert doc["contribution_denominators"] == sorted(divisors)
+        assert len(divisors) == 49
+
+    def test_prime_n(self, capsys):
+        doc = _fiber_info(capsys, "I999983")
+        assert doc["components"] == doc["root_lattice_disc"] == 999983
+        assert doc["contribution_denominators"] == [1, 999983]
+
+    def test_no_matrix_on_the_hot_path(self, monkeypatch, capsys):
+        def refuse(kind, rank):
+            raise AssertionError(f"root_gram({kind!r}, {rank}) built on the hot path")
+
+        monkeypatch.setattr(kodaira, "root_gram", refuse)
+        assert run_example(1)["status"] == "verified"
+        assert run_example(2)["status"] == "conditional"
+        assert _fiber_info(capsys, "I1000000")["root_lattice_disc"] == 10**6

@@ -57,7 +57,6 @@ class TestShiodaTate:
         assert result.trivial_rank == trivial_rank
         assert result.mw_rank == r
         assert result.trivial_disc == trivial_disc
-        assert result.mwl_disc is None
 
     def test_rho_below_trivial_rank(self):
         with pytest.raises(PicardTooSmallError):
