@@ -211,9 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args leaves no state behind in the parser.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError, OSError, PipelineError) as exc:

@@ -179,27 +179,37 @@ def exclusion_fact_to_json(fact: ExclusionFact) -> dict:
 
 @dataclass(frozen=True)
 class Assumption:
+    """One declared assumption: the payload as written and its parsed value."""
+
     name: str
     payload: dict
     provenance: str
+    stage: str | None = None  # for shioda_inose_cover and the per-stage assumptions
+    value: GramLattice | ExclusionFact | int | None = None  # lattice, fact or torsion order
 
 
-_ASSUMPTION_NAMES = {
-    "picard_maximal",
-    "constant_transcendental_vhs",
-    "specialization_injective",
-    "seed_transcendental_lattice",
-    "shioda_inose_cover",
-    "stage_transcendental_lattice",
-    "torsion_order",
-    "exclusion_fact",
+FLAG_ASSUMPTIONS = ("picard_maximal", "constant_transcendental_vhs", "specialization_injective")
+
+# Payload fields per assumption name; exclusion_fact payloads are facts.
+_PAYLOAD_FIELDS = {
+    **{flag: () for flag in FLAG_ASSUMPTIONS},
+    "seed_transcendental_lattice": ("gram",),
+    "shioda_inose_cover": ("stage",),
+    "stage_transcendental_lattice": ("stage", "gram"),
+    "torsion_order": ("stage", "order"),
+    "exclusion_fact": None,
 }
+
+# Assumptions that may be declared once, and once per stage.
+_ONCE = ("seed_transcendental_lattice", "shioda_inose_cover")
+_ONCE_PER_STAGE = ("stage_transcendental_lattice", "torsion_order")
 
 
 def parse_assumptions(obj: Any, where: str = "assumptions") -> tuple[Assumption, ...]:
     entries = _require(obj, "assumptions", list, where)
     _reject_unknown(obj, {"assumptions"}, where)
     out = []
+    first_at: dict[Any, int] = {}
     for i, entry in enumerate(entries):
         spot = f"{where}[{i}]"
         name = _require(entry, "name", str, spot)
@@ -208,36 +218,43 @@ def parse_assumptions(obj: Any, where: str = "assumptions") -> tuple[Assumption,
         if not isinstance(payload, dict):
             raise SchemaError(f"{spot}.payload: expected an object")
         _reject_unknown(entry, {"name", "payload", "provenance"}, spot)
-        if name not in _ASSUMPTION_NAMES:
+        if name not in _PAYLOAD_FIELDS:
             raise SchemaError(f"{spot}.name: unknown assumption {name!r}")
         if not provenance.strip():
             raise SchemaError(f"{spot}.provenance: must be nonempty")
-        _validate_assumption_payload(name, payload, f"{spot}.payload")
-        out.append(Assumption(name=name, payload=payload, provenance=provenance))
+        stage, value = _parse_payload(name, payload, f"{spot}.payload")
+        key = name if name in _ONCE else (name, stage) if name in _ONCE_PER_STAGE else None
+        if key in first_at:
+            raise SchemaError(f"{spot}: {name!r} already declared at {where}[{first_at[key]}]")
+        if key is not None:
+            first_at[key] = i
+        out.append(Assumption(name, payload, provenance, stage, value))
     return tuple(out)
 
 
-def _validate_assumption_payload(name: str, payload: dict, where: str) -> None:
-    if name in ("picard_maximal", "constant_transcendental_vhs", "specialization_injective"):
-        _reject_unknown(payload, set(), where)
-    elif name == "seed_transcendental_lattice":
-        parse_gram(_require(payload, "gram", list, where), f"{where}.gram")
-        _reject_unknown(payload, {"gram"}, where)
-    elif name == "shioda_inose_cover":
-        _require(payload, "stage", str, where)
-        _reject_unknown(payload, {"stage"}, where)
-    elif name == "stage_transcendental_lattice":
-        _require(payload, "stage", str, where)
-        parse_gram(_require(payload, "gram", list, where), f"{where}.gram")
-        _reject_unknown(payload, {"stage", "gram"}, where)
-    elif name == "torsion_order":
-        _require(payload, "stage", str, where)
-        order = _require(payload, "order", int, where)
-        if order < 1:
+def _parse_payload(name: str, payload: dict, where: str) -> tuple[str | None, Any]:
+    """The stage a payload names and the value it declares."""
+    fields = _PAYLOAD_FIELDS[name]
+    if fields is None:
+        return None, parse_exclusion_fact(payload, where)
+    stage = _require(payload, "stage", str, where) if "stage" in fields else None
+    value = None
+    if "gram" in fields:
+        value = parse_gram(_require(payload, "gram", list, where), f"{where}.gram")
+        # disc % 4 == 0 keeps every double-cover discriminant candidate integral.
+        if name == "seed_transcendental_lattice" and not (
+            value.rank == 2 and value.is_even() and value.is_positive_definite() and value.disc() % 4 == 0
+        ):
+            raise SchemaError(
+                f"{where}.gram: the seed lattice must have rank 2 and be even and positive "
+                "definite, with discriminant divisible by 4"
+            )
+    if "order" in fields:
+        value = _require(payload, "order", int, where)
+        if value < 1:
             raise SchemaError(f"{where}.order: must be a positive integer")
-        _reject_unknown(payload, {"stage", "order"}, where)
-    elif name == "exclusion_fact":
-        parse_exclusion_fact(payload, where)
+    _reject_unknown(payload, set(fields), where)
+    return stage, value
 
 
 def dumps_canonical(document: Any) -> str:

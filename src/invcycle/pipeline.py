@@ -2,10 +2,15 @@
 
 A pipeline takes a seed fibration, one even branch specification for the
 family base change, and a ledger of assumptions (Picard numbers, torsion
-orders, externally certified exclusion facts).  It derives the covering
-stages, runs the lattice and Mordell-Weil arithmetic, and emits a single
-deterministic report; the JSON document is the contract and the text
-rendering is derived from it.
+orders, externally certified exclusion facts) that `jsonio` parsed once
+into typed values.  `run_pipeline` runs seven stage functions in order:
+`_seed_stage`, `_covering_stages`, `_shioda_inose_stage`,
+`_assumed_lattices`, `_resolution_stage`, `_height_checks` and
+`_specialization_stage`.  Each takes the spec, and what earlier stages
+derived, and returns its part of the report with the `Reason`s it found.
+The run is 'conditional' exactly when some reason is, and the notes are
+the reasons' notes in stage order.  The JSON document is the contract
+and the text rendering is derived from it.
 
 Every number in the report carries a tag: 'paper' for values quoted from
 the published fiber tables, 'trivial' for bookkeeping identities,
@@ -20,8 +25,8 @@ from pathlib import Path
 from typing import Any
 
 from .jsonio import (
+    FLAG_ASSUMPTIONS,
     Assumption,
-    InputError,
     SchemaError,
     dumps_canonical,
     exclusion_fact_to_json,
@@ -29,13 +34,11 @@ from .jsonio import (
     load_json,
     parse_assumptions,
     parse_branch_spec,
-    parse_exclusion_fact,
-    parse_gram,
     parse_surface_config,
     surface_config_to_json,
 )
 from .kodaira import is_star
-from .lattice import GramLattice, NotPerfectSquareRatioError
+from .lattice import NotPerfectSquareRatioError
 from .mordell_weil import check_disc_consistency, shioda_tate
 from .surfaces import (
     BaseChangeResult,
@@ -80,10 +83,17 @@ def tagged(value: Any, tag: str) -> dict:
 
 @dataclass(frozen=True)
 class PipelineSpec:
+    """The seed, its covering stages, and the parsed assumptions by role."""
+
     seed: SurfaceConfig
-    family_branch: BranchSpec
     assumptions: tuple[Assumption, ...]
     stages: tuple[tuple[str, BranchSpec], ...]
+    flags: frozenset[str]
+    seed_lattice: Assumption | None
+    shioda_inose: Assumption | None
+    stage_lattices: dict[str, Assumption]
+    torsion: dict[str, Assumption]
+    facts: tuple[ExclusionFact, ...]
 
 
 def build_pipeline_spec(
@@ -103,57 +113,42 @@ def build_pipeline_spec(
         for k in range(3):
             pair = frozenset(x for i, x in enumerate(star_labels) if i != k)
             stages.append((f"Y{k}", BranchSpec(pair)))
+    named = {a.name: a for a in assumptions}
     return PipelineSpec(
         seed=seed,
-        family_branch=family_branch,
         assumptions=assumptions,
         stages=tuple(stages),
+        flags=frozenset(FLAG_ASSUMPTIONS).intersection(named),
+        seed_lattice=named.get("seed_transcendental_lattice"),
+        shioda_inose=named.get("shioda_inose_cover"),
+        stage_lattices={a.stage: a for a in assumptions if a.name == "stage_transcendental_lattice"},
+        torsion={a.stage: a for a in assumptions if a.name == "torsion_order"},
+        facts=tuple(a.value for a in assumptions if a.name == "exclusion_fact"),
     )
 
 
-class _AssumptionIndex:
-    def __init__(self, assumptions: tuple[Assumption, ...]):
-        self.all = assumptions
-        self.flags: dict[str, str] = {}
-        self.seed_gram: GramLattice | None = None
-        self.seed_gram_provenance = ""
-        self.si_stage: str | None = None
-        self.si_provenance = ""
-        self.stage_lattices: dict[str, tuple[GramLattice, str]] = {}
-        self.torsion: dict[str, tuple[int, str]] = {}
-        self.facts: list[ExclusionFact] = []
-        for a in assumptions:
-            if a.name in ("picard_maximal", "constant_transcendental_vhs", "specialization_injective"):
-                self.flags[a.name] = a.provenance
-            elif a.name == "seed_transcendental_lattice":
-                self.seed_gram = parse_gram(a.payload["gram"], "assumption.gram")
-                self.seed_gram_provenance = a.provenance
-            elif a.name == "shioda_inose_cover":
-                self.si_stage = a.payload["stage"]
-                self.si_provenance = a.provenance
-            elif a.name == "stage_transcendental_lattice":
-                gram = parse_gram(a.payload["gram"], "assumption.gram")
-                self.stage_lattices[a.payload["stage"]] = (gram, a.provenance)
-            elif a.name == "torsion_order":
-                self.torsion[a.payload["stage"]] = (a.payload["order"], a.provenance)
-            elif a.name == "exclusion_fact":
-                self.facts.append(parse_exclusion_fact(a.payload, "assumption.payload"))
+@dataclass(frozen=True)
+class Reason:
+    """Why a run is conditional, with the note the report shows for it.
 
-    def has(self, flag: str) -> bool:
-        return flag in self.flags
+    A reason without a note still makes the run conditional; a reason
+    that is not conditional only adds its note.
+    """
+
+    note: str | None
+    conditional: bool = True
+
+
+# Stage name -> (its central discriminants, where they come from).
+CentralDiscs = dict[str, tuple[list[int], str]]
+Surfaces = dict[str, tuple[SurfaceConfig, SurfaceInvariants]]
 
 
 def _invariants_json(inv: SurfaceInvariants) -> dict:
-    out = {
-        "e": tagged(inv.e, "derived"),
-        "d": tagged(inv.d, "derived"),
-        "p_g": tagged(inv.p_g, "derived"),
-        "q": tagged(inv.q, "derived"),
-        "b1": tagged(inv.b1, "derived"),
-        "b2": tagged(inv.b2, "derived"),
-        "h11": tagged(inv.h11, "derived"),
-        "kind": inv.kind,
+    out: dict[str, Any] = {
+        key: tagged(getattr(inv, key), "derived") for key in ("e", "d", "p_g", "q", "b1", "b2", "h11")
     }
+    out["kind"] = inv.kind
     if inv.extrapolated:
         out["extrapolated"] = True
     return out
@@ -193,24 +188,6 @@ def _shioda_tate_json(config: SurfaceConfig, rho: int) -> dict:
         "mw_rank": tagged(st.mw_rank, "derived"),
         "trivial_disc": tagged(str(st.trivial_disc), "derived"),
     }
-
-
-def _consistency_json(
-    config: SurfaceConfig, disc: int, rho: int, torsion: int, torsion_provenance: str
-) -> dict:
-    check = check_disc_consistency(config, disc, rho, torsion)
-    out = {
-        "candidate_disc": tagged(disc, "derived"),
-        "torsion_order": tagged(torsion, "assumed"),
-        "torsion_provenance": torsion_provenance,
-        "mw_rank": tagged(check.mw_rank, "derived"),
-        "mwl_disc": tagged(str(check.mwl_disc), "derived"),
-        "denominator_bound": tagged(check.denominator_bound, "derived"),
-        "consistent": check.consistent,
-    }
-    if check.reason:
-        out["reason"] = check.reason
-    return out
 
 
 def _resolution_json(resolution: DiscResolution) -> dict:
@@ -262,48 +239,40 @@ def _rigidity_json(cert: RigidityCertificate) -> dict:
     return out
 
 
-def run_pipeline(spec: PipelineSpec) -> dict:
-    seed = spec.seed
-    seed_inv = invariants(seed)
-    if seed_inv.kind != "K3" or seed_inv.e != 24:
-        raise PipelineError(
-            f"seed configuration must be a K3 fibration with e = 24; "
-            f"got kind {seed_inv.kind!r} with e = {seed_inv.e}"
-        )
-    asm = _AssumptionIndex(spec.assumptions)
-    notes: list[str] = []
-    conditional = False
-
-    # Seed record.
-    have_picard = asm.has("picard_maximal")
-    seed_record: dict[str, Any] = {
+def _seed_stage(spec: PipelineSpec, inv: SurfaceInvariants) -> tuple[dict, list[Reason]]:
+    record: dict[str, Any] = {
         "name": SEED_STAGE,
-        "config": surface_config_to_json(seed),
-        "invariants": _invariants_json(seed_inv),
+        "config": surface_config_to_json(spec.seed),
+        "invariants": _invariants_json(inv),
     }
-    if have_picard:
-        seed_record["shioda_tate"] = _shioda_tate_json(seed, seed_inv.h11)
+    reasons = []
+    if "picard_maximal" in spec.flags:
+        record["shioda_tate"] = _shioda_tate_json(spec.seed, inv.h11)
     else:
-        notes.append("no Picard-number assumption: Shioda-Tate accounting skipped")
-        conditional = True
-    if asm.seed_gram is not None:
-        seed_record["transcendental"] = {
-            "gram": gram_to_json(asm.seed_gram),
-            "disc": tagged(asm.seed_gram.disc(), "assumed"),
-            "provenance": asm.seed_gram_provenance,
+        reasons.append(Reason("no Picard-number assumption: Shioda-Tate accounting skipped"))
+    if spec.seed_lattice is not None:
+        t_x = spec.seed_lattice.value
+        record["transcendental"] = {
+            "gram": gram_to_json(t_x),
+            "disc": tagged(t_x.disc(), "assumed"),
+            "provenance": spec.seed_lattice.provenance,
         }
+    return record, reasons
 
-    # Covering stages.
-    stage_records: list[dict] = []
-    stage_data: dict[str, tuple[SurfaceConfig, SurfaceInvariants]] = {}
+
+def _covering_stages(spec: PipelineSpec) -> tuple[list[dict], list[Reason], Surfaces]:
+    """Base change to every stage; the K3 stages need the family stage,
+    which comes first, to be elliptic-elliptic."""
+    records: list[dict] = []
+    reasons = []
+    surfaces: Surfaces = {}
     family_ok = True
     for name, branch in spec.stages:
-        if not family_ok and name != FAMILY_STAGE:
-            notes.append(f"stage {name} skipped: the family stage is not elliptic-elliptic")
-            conditional = True
+        if not family_ok:
+            reasons.append(Reason(f"stage {name} skipped: the family stage is not elliptic-elliptic"))
             continue
         bc = quadratic_base_change(
-            seed, branch, name=f"{seed.name}/{name}", allow_fresh=(name == FAMILY_STAGE)
+            spec.seed, branch, name=f"{spec.seed.name}/{name}", allow_fresh=(name == FAMILY_STAGE)
         )
         inv = invariants(bc.config)
         record: dict[str, Any] = {
@@ -313,262 +282,278 @@ def run_pipeline(spec: PipelineSpec) -> dict:
             "config": surface_config_to_json(bc.config),
             "invariants": _invariants_json(inv),
         }
-        if have_picard:
+        if "picard_maximal" in spec.flags:
             record["shioda_tate"] = _shioda_tate_json(bc.config, inv.h11)
-        if name == FAMILY_STAGE and inv.kind != "elliptic-elliptic":
-            family_ok = False
-            record["family_gate"] = {
-                "ok": False,
-                "detail": f"expected an elliptic surface over an elliptic base, got {inv.kind!r}",
-            }
-            notes.append(
-                f"family stage has kind {inv.kind!r}; the construction needs "
-                "'elliptic-elliptic', remaining stages skipped"
-            )
-            conditional = True
-        elif name == FAMILY_STAGE:
-            record["family_gate"] = {"ok": True, "detail": "elliptic-elliptic"}
-        stage_records.append(record)
-        stage_data[name] = (bc.config, inv)
-    if len(spec.stages) == 1 and family_ok:
-        notes.append(
-            "no K3 covering stages: the family branch does not contain exactly three star fibers"
+        if name == FAMILY_STAGE:
+            family_ok = inv.kind == "elliptic-elliptic"
+            detail = f"expected an elliptic surface over an elliptic base, got {inv.kind!r}"
+            record["family_gate"] = {"ok": family_ok, "detail": "elliptic-elliptic" if family_ok else detail}
+            if not family_ok:
+                reasons.append(Reason(
+                    f"family stage has kind {inv.kind!r}; the construction needs "
+                    "'elliptic-elliptic', remaining stages skipped"
+                ))
+        records.append(record)
+        surfaces[name] = (bc.config, inv)
+    return records, reasons, surfaces
+
+
+def _shioda_inose_stage(
+    spec: PipelineSpec, surfaces: Surfaces
+) -> tuple[dict, list[Reason], CentralDiscs, int | None]:
+    """The quotient lattice at the Shioda-Inose stage and its rigidity.
+
+    Also returns the central discriminants this pins, and the nearby
+    discriminant, which is known only when the quotient lattice is rigid.
+    """
+    si = spec.shioda_inose
+    if si is None or si.stage not in surfaces:
+        reason = Reason("no usable Shioda-Inose cover stage: nearby lattice not determined")
+        return {}, [reason], {}, None
+    t_si = shioda_inose_unscale(spec.seed_lattice.value)
+    disc = t_si.disc()
+    rigidity = rigidity_transfer(t_si)
+    record: dict[str, Any] = {
+        "shioda_inose": {
+            "stage": si.stage,
+            "gram": gram_to_json(t_si),
+            "disc": tagged(disc, "derived"),
+            "provenance": si.provenance,
+        },
+        "rigidity": _rigidity_json(rigidity),
+    }
+    pinned: CentralDiscs = {si.stage: ([disc], "shioda_inose")}
+    if not rigidity.rigid:
+        reason = Reason(
+            "quotient lattice admits a proper even overlattice: the nearby "
+            "lattice is not pinned down"
         )
-        conditional = True
+        return record, [reason], pinned, None
+    record["nearby_lattice"] = {
+        "gram": gram_to_json(t_si),
+        "disc": tagged(disc, "derived"),
+        "conclusion": (
+            "the nearby transcendental lattice contains the quotient lattice "
+            "with finite index and no proper even overlattice exists, so they "
+            "are equal"
+        ),
+        "conditional_on": sorted(spec.flags) + ["shioda_inose_cover"],
+    }
+    pinned[FAMILY_STAGE] = ([disc], "rigidity_transfer")
+    return record, [], pinned, disc
 
+
+def _assumed_lattices(
+    spec: PipelineSpec, surfaces: Surfaces
+) -> tuple[dict, list[Reason], CentralDiscs]:
+    """Declared transcendental lattices of covering stages."""
+    entries = []
+    pinned: CentralDiscs = {}
+    for stage, a in sorted(spec.stage_lattices.items()):
+        if stage in surfaces:
+            disc = a.value.disc()
+            entries.append({
+                "stage": stage,
+                "gram": gram_to_json(a.value),
+                "disc": tagged(disc, "assumed"),
+                "provenance": a.provenance,
+            })
+            pinned[stage] = ([disc], "assumption")
+    return ({"assumed_stage_lattices": entries} if entries else {}), [], pinned
+
+
+def _resolution_stage(
+    spec: PipelineSpec, surfaces: Surfaces, candidates: list[tuple[int, int]], pinned: CentralDiscs
+) -> tuple[dict, list[Reason], CentralDiscs]:
+    """Discriminant resolution for the stages no earlier stage pinned."""
+    items = []
+    reasons = []
+    resolved: CentralDiscs = {}
+    for name, _branch in spec.stages:
+        if name in pinned or name not in surfaces:
+            continue
+        config, inv = surfaces[name]
+        if inv.kind != "K3":
+            reasons.append(Reason(f"stage {name} is not a K3 surface: no discriminant analysis"))
+            continue
+        if "picard_maximal" not in spec.flags:
+            reasons.append(Reason(f"stage {name}: discriminant resolution needs a Picard assumption"))
+            continue
+        torsion = spec.torsion.get(name)
+        resolution = resolve_disc(
+            candidates, spec.facts, config, inv.h11, torsion.value if torsion else None
+        )
+        items.append({"stage": name, "resolution": _resolution_json(resolution)})
+        resolved[name] = ([d for _a, d in resolution.surviving], "resolution")
+        if not resolution.resolved:
+            survivors = ", ".join(str(d) for _a, d in resolution.surviving)
+            reasons.append(Reason(
+                f"stage {name}: discriminant not uniquely resolved, "
+                f"surviving candidates {{{survivors}}}"
+            ))
+    return ({"resolutions": items} if items else {}), reasons, resolved
+
+
+def _height_checks(
+    spec: PipelineSpec,
+    seed_inv: SurfaceInvariants,
+    surfaces: Surfaces,
+    candidates: list[tuple[int, int]],
+    pinned: CentralDiscs,
+) -> tuple[dict, list[Reason]]:
+    """Height-denominator cross-checks of the central discriminants, stage by stage."""
+    if "picard_maximal" not in spec.flags:
+        return {}, []
+    checks = []
+    reasons = []
+    for name, (config, inv) in {SEED_STAGE: (spec.seed, seed_inv), **surfaces}.items():
+        if name not in pinned:
+            continue
+        torsion = spec.torsion.get(name)
+        if torsion is None:
+            reasons.append(Reason(f"stage {name}: no torsion assumption, height cross-check skipped"))
+            continue
+        discs, source = pinned[name]
+        # A resolved stage reports the bound on every candidate, excluded ones too.
+        pool = [d for _a, d in candidates] if source == "resolution" else discs
+        for disc in pool:
+            check = check_disc_consistency(config, disc, inv.h11, torsion.value)
+            entry = {
+                "stage": name,
+                "candidate_disc": tagged(disc, "derived"),
+                "certified": disc in discs,
+                "torsion_order": tagged(torsion.value, "assumed"),
+                "torsion_provenance": torsion.provenance,
+                "mw_rank": tagged(check.mw_rank, "derived"),
+                "mwl_disc": tagged(str(check.mwl_disc), "derived"),
+                "denominator_bound": tagged(check.denominator_bound, "derived"),
+                "consistent": check.consistent,
+            }
+            if check.reason:
+                entry["reason"] = check.reason
+            checks.append(entry)
+            if entry["certified"] and not check.consistent and len(discs) == 1:
+                raise PipelineContradictionError(
+                    f"stage {name}: certified discriminant {disc} fails the "
+                    f"height-denominator check: {check.reason}"
+                )
+    return ({"denominator_checks": checks} if checks else {}), reasons
+
+
+def _specialization_stage(
+    spec: PipelineSpec, pinned: CentralDiscs, nearby_disc: int | None
+) -> tuple[dict, list[Reason]]:
+    """Specialization indices of the central discriminants, and the verdict.
+
+    Discriminants with no finite-index relation to the nearby lattice get
+    a note but do not by themselves make the run conditional; an
+    undetermined verdict does.
+    """
+    if nearby_disc is None:
+        return {}, [Reason("nearby lattice unknown: specialization indices not computed")]
+    per_stage = []
+    reasons = []
+    for name, _branch in spec.stages:
+        if name == FAMILY_STAGE or name not in pinned:
+            continue
+        discs, source = pinned[name]
+        indices, incompatible = [], []
+        for disc in sorted(set(discs)):
+            try:
+                result = specialization_index(disc, nearby_disc)
+            except NotPerfectSquareRatioError:
+                incompatible.append(disc)
+                continue
+            indices.append({"central_disc": tagged(disc, "derived"),
+                            "index": tagged(result.index, "derived"),
+                            "verdict": result.verdict})
+        entry: dict[str, Any] = {
+            "stage": name,
+            "source": source,
+            "nearby_disc": tagged(nearby_disc, "derived"),
+            "indices": indices,
+            "verdict": _agreed({item["verdict"] for item in indices}),
+        }
+        if incompatible:
+            entry["incompatible_discs"] = incompatible
+            reasons.append(Reason(
+                f"stage {name}: discriminant(s) {incompatible} are not related "
+                "to the nearby lattice by a finite-index embedding",
+                conditional=False,
+            ))
+        per_stage.append(entry)
+    failing = [entry["stage"] for entry in per_stage if entry["verdict"] == VERDICT_FAILS]
+    verdict = VERDICT_FAILS if failing else _agreed({entry["verdict"] for entry in per_stage})
+    if verdict == "undetermined":
+        reasons.append(Reason(note=None))
+    return {"per_stage": per_stage, "failing_stages": failing, "verdict": verdict}, reasons
+
+
+def _agreed(verdicts: set[str]) -> str:
+    """The verdict every item reached, or 'undetermined' if none or several."""
+    return verdicts.pop() if len(verdicts) == 1 else "undetermined"
+
+
+def run_pipeline(spec: PipelineSpec) -> dict:
+    seed_inv = invariants(spec.seed)
+    if seed_inv.kind != "K3" or seed_inv.e != 24:
+        raise PipelineError(
+            f"seed configuration must be a K3 fibration with e = 24; "
+            f"got kind {seed_inv.kind!r} with e = {seed_inv.e}"
+        )
+    seed_record, reasons = _seed_stage(spec, seed_inv)
+    stage_records, found, surfaces = _covering_stages(spec)
+    reasons += found
     analysis: dict[str, Any] = {}
-    stage_disc: dict[str, tuple[list[int], str]] = {}  # stage -> (central discs, source)
-    nearby_disc: int | None = None
-
-    if asm.seed_gram is None:
-        notes.append("no seed transcendental lattice assumption: lattice analysis skipped")
-        conditional = True
+    pinned: CentralDiscs = {}
+    nearby_disc = None
+    if spec.seed_lattice is None:
+        reasons.append(Reason("no seed transcendental lattice assumption: lattice analysis skipped"))
     else:
-        t_x = asm.seed_gram
+        t_x = spec.seed_lattice.value
         candidates = double_cover_disc_candidates(t_x.disc(), t_x.rank)
         analysis["candidates"] = {
             "disc_seed": tagged(t_x.disc(), "assumed"),
             "list": [{"alpha": a, "disc": tagged(d, "derived")} for a, d in candidates],
         }
+        pinned[SEED_STAGE] = ([t_x.disc()], "assumption")
 
-        # Shioda-Inose quotient stage: pairing divides by two.
-        si_stage = asm.si_stage
-        if si_stage is not None and si_stage in stage_data:
-            t_si = shioda_inose_unscale(t_x)
-            analysis["shioda_inose"] = {
-                "stage": si_stage,
-                "gram": gram_to_json(t_si),
-                "disc": tagged(t_si.disc(), "derived"),
-                "provenance": asm.si_provenance,
-            }
-            stage_disc[si_stage] = ([t_si.disc()], "shioda_inose")
-            rigidity = rigidity_transfer(t_si)
-            analysis["rigidity"] = _rigidity_json(rigidity)
-            if rigidity.rigid:
-                conditional_on = sorted(
-                    name
-                    for name in (
-                        "constant_transcendental_vhs",
-                        "specialization_injective",
-                        "picard_maximal",
-                    )
-                    if asm.has(name)
-                ) + ["shioda_inose_cover"]
-                analysis["nearby_lattice"] = {
-                    "gram": gram_to_json(t_si),
-                    "disc": tagged(t_si.disc(), "derived"),
-                    "conclusion": (
-                        "the nearby transcendental lattice contains the quotient lattice "
-                        "with finite index and no proper even overlattice exists, so they "
-                        "are equal"
-                    ),
-                    "conditional_on": conditional_on,
-                }
-                nearby_disc = t_si.disc()
-                if FAMILY_STAGE in stage_data:
-                    stage_disc[FAMILY_STAGE] = ([nearby_disc], "rigidity_transfer")
-            else:
-                notes.append(
-                    "quotient lattice admits a proper even overlattice: the nearby "
-                    "lattice is not pinned down"
-                )
-                conditional = True
-        else:
-            notes.append("no usable Shioda-Inose cover stage: nearby lattice not determined")
-            conditional = True
+        def take(record: dict, new: list[Reason], more: CentralDiscs | None = None) -> None:
+            analysis.update(record)
+            reasons.extend(new)
+            pinned.update(more or {})
 
-        for stage, (gram, provenance) in sorted(asm.stage_lattices.items()):
-            if stage in stage_data:
-                analysis.setdefault("assumed_stage_lattices", []).append(
-                    {
-                        "stage": stage,
-                        "gram": gram_to_json(gram),
-                        "disc": tagged(gram.disc(), "assumed"),
-                        "provenance": provenance,
-                    }
-                )
-                stage_disc[stage] = ([gram.disc()], "assumption")
-
-        # Discriminant resolution for the remaining K3 stages.
-        resolutions: list[dict] = []
-        for name, _branch in spec.stages:
-            if name in stage_disc or name not in stage_data:
-                continue
-            config, inv = stage_data[name]
-            if inv.kind != "K3":
-                notes.append(f"stage {name} is not a K3 surface: no discriminant analysis")
-                conditional = True
-                continue
-            if not have_picard:
-                notes.append(f"stage {name}: discriminant resolution needs a Picard assumption")
-                conditional = True
-                continue
-            torsion = asm.torsion.get(name)
-            resolution = resolve_disc(
-                candidates,
-                asm.facts,
-                config,
-                inv.h11,
-                torsion[0] if torsion else None,
-            )
-            item = {"stage": name, "resolution": _resolution_json(resolution)}
-            resolutions.append(item)
-            stage_disc[name] = ([d for _a, d in resolution.surviving], "resolution")
-            if not resolution.resolved:
-                survivors = ", ".join(str(d) for _a, d in resolution.surviving)
-                notes.append(
-                    f"stage {name}: discriminant not uniquely resolved, "
-                    f"surviving candidates {{{survivors}}}"
-                )
-                conditional = True
-        if resolutions:
-            analysis["resolutions"] = resolutions
-
-        # Height-denominator cross-checks, stage by stage.
-        denominator_checks: list[dict] = []
-        for name in [SEED_STAGE] + [n for n, _b in spec.stages]:
-            if name == SEED_STAGE:
-                config, inv = seed, seed_inv
-                discs, source = ([t_x.disc()], "assumption")
-            else:
-                if name not in stage_data or name not in stage_disc:
-                    continue
-                config, inv = stage_data[name]
-                discs, source = stage_disc[name]
-            if not have_picard:
-                continue
-            torsion = asm.torsion.get(name)
-            if torsion is None:
-                notes.append(f"stage {name}: no torsion assumption, height cross-check skipped")
-                conditional = True
-                continue
-            candidate_pool = discs
-            if source == "resolution":
-                # Report the bound on every candidate, including excluded ones.
-                candidate_pool = [d for _a, d in candidates]
-            for disc in candidate_pool:
-                entry = _consistency_json(config, disc, inv.h11, torsion[0], torsion[1])
-                entry["stage"] = name
-                entry["certified"] = disc in discs
-                denominator_checks.append(entry)
-                if entry["certified"] and not entry["consistent"] and len(discs) == 1:
-                    raise PipelineContradictionError(
-                        f"stage {name}: certified discriminant {disc} fails the "
-                        f"height-denominator check: {entry.get('reason')}"
-                    )
-        if denominator_checks:
-            analysis["denominator_checks"] = denominator_checks
-
-    # Specialization indices and the verdict.
-    specialization: dict[str, Any] = {}
-    verdict = None
-    if nearby_disc is None:
-        notes.append("nearby lattice unknown: specialization indices not computed")
-        conditional = True
-    else:
-        per_stage = []
-        failing = []
-        undetermined = False
-        for name, _branch in spec.stages:
-            if name == FAMILY_STAGE or name not in stage_disc:
-                continue
-            discs, source = stage_disc[name]
-            indices = []
-            incompatible = []
-            for disc in sorted(set(discs)):
-                try:
-                    result = specialization_index(disc, nearby_disc)
-                except NotPerfectSquareRatioError:
-                    incompatible.append(disc)
-                    continue
-                indices.append({"central_disc": tagged(disc, "derived"),
-                                "index": tagged(result.index, "derived"),
-                                "verdict": result.verdict})
-            if not indices:
-                stage_verdict = "undetermined"
-                undetermined = True
-            elif all(item["verdict"] == VERDICT_FAILS for item in indices):
-                stage_verdict = VERDICT_FAILS
-            elif all(item["verdict"] == VERDICT_HOLDS_POSSIBLE for item in indices):
-                stage_verdict = VERDICT_HOLDS_POSSIBLE
-            else:
-                stage_verdict = "undetermined"
-                undetermined = True
-            entry = {
-                "stage": name,
-                "source": source,
-                "nearby_disc": tagged(nearby_disc, "derived"),
-                "indices": indices,
-                "verdict": stage_verdict,
-            }
-            if incompatible:
-                entry["incompatible_discs"] = sorted(incompatible)
-                notes.append(
-                    f"stage {name}: discriminant(s) {sorted(incompatible)} are not related "
-                    "to the nearby lattice by a finite-index embedding"
-                )
-            per_stage.append(entry)
-            if stage_verdict == VERDICT_FAILS:
-                failing.append(name)
-        specialization["per_stage"] = per_stage
-        if failing:
-            verdict = VERDICT_FAILS
-        elif undetermined or not per_stage:
-            verdict = "undetermined"
-        else:
-            verdict = VERDICT_HOLDS_POSSIBLE
-        specialization["failing_stages"] = failing
-        specialization["verdict"] = verdict
-        if verdict == "undetermined":
-            conditional = True
+        record, found, more, nearby_disc = _shioda_inose_stage(spec, surfaces)
+        take(record, found, more)
+        take(*_assumed_lattices(spec, surfaces))
+        take(*_resolution_stage(spec, surfaces, candidates, pinned))
+        take(*_height_checks(spec, seed_inv, surfaces, candidates, pinned))
+    specialization, found = _specialization_stage(spec, pinned, nearby_disc)
+    reasons += found
 
     ledger = []
     for a in spec.assumptions:
         entry: dict[str, Any] = {"name": a.name, "provenance": a.provenance}
         if a.name == "exclusion_fact":
-            entry["payload"] = exclusion_fact_to_json(parse_exclusion_fact(a.payload, "ledger"))
+            entry["payload"] = exclusion_fact_to_json(a.value)
         elif a.payload:
             entry["payload"] = a.payload
         ledger.append(entry)
 
     report = {
         "schema": "invcycle-report/1",
-        "pipeline": {"name": seed.name},
+        "pipeline": {"name": spec.seed.name},
         "seed": seed_record,
         "stages": stage_records,
         "analysis": analysis,
         "specialization": specialization,
         "assumption_ledger": ledger,
-        "notes": notes,
-        "status": "conditional" if conditional else "verified",
+        "notes": [r.note for r in reasons if r.note is not None],
+        "status": "conditional" if any(r.conditional for r in reasons) else "verified",
     }
-    if verdict is not None:
-        report["verdict"] = verdict
+    if "verdict" in specialization:
+        report["verdict"] = specialization["verdict"]
     return report
-
-
-def _data_root():
-    return resources.files("invcycle").joinpath("data")
 
 
 def load_pipeline_files(
@@ -589,7 +574,7 @@ def run_custom(
 def run_example(example_id: int) -> dict:
     if example_id not in (1, 2):
         raise SchemaError(f"unknown example {example_id}; available: 1, 2")
-    base = _data_root().joinpath(f"example{example_id}")
+    base = resources.files("invcycle").joinpath("data", f"example{example_id}")
     with resources.as_file(base) as root:
         return run_custom(root / "config.json", root / "branch.json", root / "assumptions.json")
 
@@ -600,10 +585,8 @@ def report_exit_code(report: dict, strict: bool = False) -> int:
     return 1 if strict else 2
 
 
-def _fmt_tagged(value: Any) -> str:
-    if isinstance(value, dict) and "tag" in value and "value" in value:
-        return f"{value['value']} [{value['tag']}]"
-    return str(value)
+def _fmt_tagged(value: dict) -> str:
+    return f"{value['value']} [{value['tag']}]"
 
 
 def _fmt_gram(gram: list[list[str]]) -> str:
@@ -678,19 +661,14 @@ def render_text(report: dict) -> str:
             mark = "excluded" if cand["excluded"] else "survives"
             push(f"    alpha={cand['alpha']} disc={cand['disc']['value']}: {mark}")
             for cls in cand["classes"]:
-                if "excluded_by" in cls:
-                    push(f"      class {_fmt_gram(cls['form'])} excluded by {cls['excluded_by']}")
-                else:
-                    push(f"      class {_fmt_gram(cls['form'])} not excluded")
+                fate = f"excluded by {cls['excluded_by']}" if "excluded_by" in cls else "not excluded"
+                push(f"      class {_fmt_gram(cls['form'])} {fate}")
             if "reason" in cand:
                 push(f"      reason: {cand['reason']}")
     for check in analysis.get("denominator_checks", []):
-        if check["consistent"]:
-            flag = "ok"
-        elif check["certified"]:
-            flag = "CONTRADICTION"
-        else:
-            flag = "excluded by height bound"
+        flag = "ok" if check["consistent"] else (
+            "CONTRADICTION" if check["certified"] else "excluded by height bound"
+        )
         push(
             f"  height check {check['stage']} disc {check['candidate_disc']['value']}: "
             f"disc(MWL) = {check['mwl_disc']['value']}, bound {check['denominator_bound']['value']}, {flag}"

@@ -133,6 +133,42 @@ class TestCustomCommand:
         assert proc.returncode == 1
         assert "base_genus" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "gram",
+        [
+            [[2, 0, 0], [0, 2, 0], [0, 0, 2]],  # rank 3
+            [[2, 1], [1, 3]],  # odd
+            [[-4, -2], [-2, -4]],  # negative definite
+            [[2, 2], [2, 2]],  # degenerate
+            [[2, 1], [1, 2]],  # disc 3, not divisible by 4
+        ],
+    )
+    def test_invalid_seed_lattice_names_field(self, tmp_path, gram):
+        doc = json.loads(bundled_path("example1", "assumptions.json", tmp_path).read_text())
+        for entry in doc["assumptions"]:
+            if entry["name"] == "seed_transcendental_lattice":
+                entry["payload"]["gram"] = gram
+        assumptions = tmp_path / "assumptions.json"
+        assumptions.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli(
+            "custom",
+            "--config", str(bundled_path("example1", "config.json", tmp_path)),
+            "--branch", str(bundled_path("example1", "branch.json", tmp_path)),
+            "--assumptions", str(assumptions),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: assumptions[3].payload.gram: ")
+        assert "Traceback" not in proc.stderr
+
+
+class TestInProcess:
+    def test_parser_reuse_leaves_no_state(self, capsys):
+        from invcycle.cli import main
+
+        assert main(["example", "2", "--json", "--strict"]) == 1
+        assert main(["example", "1", "--json"]) == 0
+        capsys.readouterr()
+
 
 class TestFiberCommand:
     def test_i5(self):

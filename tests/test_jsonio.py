@@ -252,6 +252,70 @@ class TestAssumptions:
             parse_assumptions(doc)
 
 
+    def test_typed_values_parsed_once(self):
+        parsed = parse_assumptions(bundled("example1", "assumptions.json"))
+        by_name = {}
+        for a in parsed:
+            by_name.setdefault(a.name, []).append(a)
+        (picard,) = by_name["picard_maximal"]
+        assert (picard.stage, picard.value) == (None, None)
+        (seed,) = by_name["seed_transcendental_lattice"]
+        assert seed.value == GramLattice([[4, 2], [2, 4]])
+        assert seed.payload == {"gram": [[4, 2], [2, 4]]}
+        (si,) = by_name["shioda_inose_cover"]
+        assert (si.stage, si.value) == ("Y0", None)
+        (lattice,) = by_name["stage_transcendental_lattice"]
+        assert (lattice.stage, lattice.value) == ("Y1", GramLattice([[2, 1], [1, 2]]))
+        assert [(a.stage, a.value) for a in by_name["torsion_order"]] == [
+            ("X", 1), ("S_t", 1), ("Y0", 1), ("Y1", 3), ("Y2", 1)
+        ]
+        facts = by_name["exclusion_fact"]
+        for a in facts:
+            assert (a.value.kind, a.value.provenance) == (a.payload["kind"], a.payload["provenance"])
+            assert a.value.form.gram() == GramLattice(a.payload["form"])
+        assert all(a.stage is None for a in facts)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (
+                {"name": "seed_transcendental_lattice", "payload": {"gram": [[4, 2], [2, 4]]}},
+                {"name": "seed_transcendental_lattice", "payload": {"gram": [[2, 0], [0, 6]]}},
+            ),
+            (
+                {"name": "shioda_inose_cover", "payload": {"stage": "Y0"}},
+                {"name": "shioda_inose_cover", "payload": {"stage": "Y1"}},
+            ),
+            (
+                {"name": "torsion_order", "payload": {"stage": "Y2", "order": 1}},
+                {"name": "torsion_order", "payload": {"stage": "Y2", "order": 2}},
+            ),
+            (
+                {"name": "stage_transcendental_lattice",
+                 "payload": {"stage": "Y1", "gram": [[2, 1], [1, 2]]}},
+                {"name": "stage_transcendental_lattice",
+                 "payload": {"stage": "Y1", "gram": [[2, 0], [0, 2]]}},
+            ),
+        ],
+    )
+    def test_duplicate_rejected_at_its_index(self, first, second):
+        flag = {"name": "picard_maximal", "provenance": "p"}
+        entries = [dict(first, provenance="p"), flag, dict(second, provenance="p")]
+        with pytest.raises(SchemaError) as exc:
+            parse_assumptions({"assumptions": entries})
+        assert str(exc.value).startswith("assumptions[2]: ")
+        assert "assumptions[0]" in str(exc.value)
+
+    def test_per_stage_assumptions_may_repeat_across_stages(self):
+        doc = {
+            "assumptions": [
+                {"name": "torsion_order", "payload": {"stage": s, "order": 1}, "provenance": "p"}
+                for s in ("Y0", "Y1")
+            ]
+        }
+        assert [a.stage for a in parse_assumptions(doc)] == ["Y0", "Y1"]
+
+
 class TestCanonicalDump:
     def test_sorted_and_newline_terminated(self):
         text = dumps_canonical({"b": 1, "a": [2, 1]})

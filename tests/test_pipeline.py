@@ -4,12 +4,16 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invcycle.jsonio import SchemaError
-from invcycle.kodaira import fiber
+from invcycle import jsonio
+from invcycle.jsonio import SchemaError, parse_branch_spec, parse_surface_config
+from invcycle.kodaira import euler_number, fiber
 from invcycle.pipeline import (
     PipelineContradictionError,
     PipelineError,
+    _specialization_stage,
     build_pipeline_spec,
     report_exit_code,
     report_to_json,
@@ -396,3 +400,102 @@ class TestStageDerivation:
         )
         spec = build_pipeline_spec(config, BranchSpec(frozenset({"a", "t"})), ())
         assert [name for name, _ in spec.stages] == ["S_t"]
+
+
+STARS = ("I0*", "I1*", "I2*", "I3*", "IV*", "III*", "II*")
+NON_STARS = ("I1", "I2", "I3", "I4", "I5", "II", "III", "IV")
+
+
+@st.composite
+def k3_seeds_with_branches(draw):
+    """A seed with Euler number 24 and an even branch set of a few labels.
+
+    Up to four star fibers are drawn first and the rest is filled with
+    non-star fibers.  Three stars, and three branched stars, are drawn
+    more often than the rest, so that the family gate often passes.
+    """
+    tokens, left = [], 24
+    for _ in range(draw(st.sampled_from((0, 1, 2, 3, 3, 3, 4)))):
+        fitting = [t for t in STARS if euler_number(fiber(t)) <= left]
+        if fitting:
+            tokens.append(draw(st.sampled_from(fitting)))
+            left -= euler_number(fiber(tokens[-1]))
+    while left:
+        token = draw(st.sampled_from([t for t in NON_STARS if euler_number(fiber(t)) <= left]))
+        tokens.append(token)
+        left -= euler_number(fiber(token))
+    labels = [str(i) for i in range(len(tokens))]
+    stars = [lab for lab, t in zip(labels, tokens) if t in STARS]
+    others = [lab for lab in labels if lab not in stars]
+
+    def some(pool, sizes):
+        return draw(st.permutations(pool))[: draw(st.sampled_from(sizes))]
+
+    chosen = some(stars, (0, 1, 2, 3, 3, 3, 4)) + some(others, (0, 0, 1, 2))
+    fresh = draw(st.sampled_from((0, 2) if len(chosen) % 2 == 0 else (1, 3)))
+    branch = chosen + ["t", "u", "v"][:fresh] or ["t", "u"]
+    config = SurfaceConfig(
+        name="seed", base_genus=0, fibers=tuple((lab, fiber(t)) for lab, t in zip(labels, tokens))
+    )
+    return config, BranchSpec(frozenset(branch))
+
+
+class TestFamilyGateProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(k3_seeds_with_branches())
+    def test_passing_family_gate_implies_three_k3_stages(self, seed_and_branch):
+        # e(S_t) = 48 - 12 * (branched stars), so S_t is elliptic-elliptic
+        # only with three branched stars, which define Y0, Y1 and Y2.
+        config, branch = seed_and_branch
+        report = run_pipeline(build_pipeline_spec(config, branch, ()))
+        if report["stages"][0]["family_gate"]["ok"]:
+            assert [s["name"] for s in report["stages"]] == ["S_t", "Y0", "Y1", "Y2"]
+
+
+class TestReasons:
+    @pytest.fixture
+    def spec(self):
+        config, branch, _assumptions = docs("example1")
+        return build_pipeline_spec(parse_surface_config(config), parse_branch_spec(branch), ())
+
+    def test_incompatible_disc_is_a_note_that_is_not_conditional(self, spec):
+        pinned = {"Y0": ([12], "shioda_inose"), "Y1": ([8], "assumption")}
+        record, reasons = _specialization_stage(spec, pinned, 3)
+        assert record["verdict"] == "LICT_fails"
+        assert record["per_stage"][1]["incompatible_discs"] == [8]
+        (reason,) = reasons
+        assert "[8] are not related" in reason.note
+        assert not reason.conditional
+
+    def test_undetermined_verdict_is_conditional_without_a_note(self, spec):
+        record, reasons = _specialization_stage(spec, {"Y1": ([8], "assumption")}, 3)
+        assert record["verdict"] == "undetermined"
+        assert [(r.note is None, r.conditional) for r in reasons] == [(False, False), (True, True)]
+
+
+class TestParseOnce:
+    def test_run_example_parses_each_gram_and_fact_once(self, monkeypatch):
+        calls = {"parse_gram": 0, "parse_exclusion_fact": 0}
+        for name in calls:
+            original = getattr(jsonio, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(jsonio, name, counted)
+        run_example(1)
+        # example 1 declares 5 Gram matrices, 3 of them inside its 3 facts
+        assert calls == {"parse_gram": 5, "parse_exclusion_fact": 3}
+
+    def test_second_seed_lattice_is_an_input_error(self, tmp_path):
+        config, branch, assumptions = docs("example1")
+        entries = assumptions["assumptions"]
+        entries.append({
+            "name": "seed_transcendental_lattice",
+            "payload": {"gram": [[2, 0], [0, 6]]},
+            "provenance": "a second, conflicting seed lattice",
+        })
+        with pytest.raises(SchemaError) as exc:
+            run_custom(*write_docs(tmp_path, config, branch, assumptions))
+        assert str(exc.value).startswith(f"assumptions[{len(entries) - 1}]: ")
