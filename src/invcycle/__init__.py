@@ -57,6 +57,7 @@ from .transcendental import (
     NothingSurvivesError,
     VERDICT_FAILS,
     VERDICT_HOLDS_POSSIBLE,
+    candidate_classes,
     double_cover_disc_candidates,
     resolve_disc,
     rigidity_transfer,
@@ -98,6 +99,7 @@ __all__ = [
     "VERDICT_HOLDS_POSSIBLE",
     "base_change_source",
     "build_pipeline_spec",
+    "candidate_classes",
     "check_disc_consistency",
     "delta",
     "double_cover_disc_candidates",

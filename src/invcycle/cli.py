@@ -50,14 +50,13 @@ def _parse_gram_arg(text: str):
 
 
 def _emit_report(report: dict, args) -> int:
-    if args.json is not None:
-        sys.stdout.write(report_to_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+    # Encoded once: stdout, --json PATH and --out get the same string.
+    encoded = report_to_json(report) if args.json is not None or args.out else None
+    sys.stdout.write(encoded if args.json is not None else render_text(report))
     if isinstance(args.json, str):
-        Path(args.json).write_text(report_to_json(report), encoding="utf-8")
+        Path(args.json).write_text(encoded, encoding="utf-8")
     if args.out:
-        Path(args.out).write_text(report_to_json(report), encoding="utf-8")
+        Path(args.out).write_text(encoded, encoding="utf-8")
     return report_exit_code(report, strict=args.strict)
 
 

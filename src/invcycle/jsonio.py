@@ -229,6 +229,15 @@ def parse_assumptions(obj: Any, where: str = "assumptions") -> tuple[Assumption,
         if key is not None:
             first_at[key] = i
         out.append(Assumption(name, payload, provenance, stage, value))
+    seed_at = first_at.get("seed_transcendental_lattice")
+    if seed_at is not None and "shioda_inose_cover" in first_at:
+        # The cover halves the seed form; the half must be even again.
+        gram = out[seed_at].value.gram
+        if gram[0][0] % 4 or gram[1][1] % 4:
+            raise SchemaError(
+                f"{where}[{seed_at}].payload.gram: with a shioda_inose_cover the seed "
+                "lattice must be twice an even lattice (diagonal entries divisible by 4)"
+            )
     return tuple(out)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Sequence
 
 
@@ -343,24 +343,121 @@ def is_isometric_binary(left: GramLattice, right: GramLattice) -> bool:
     return forms[0] == forms[1]
 
 
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[k] is the smallest prime factor of k, for 2 <= k <= n."""
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for k in range(p * p, n + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    return spf
+
+
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo an odd prime p (Tonelli-Shanks), or None."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c, s = r * b % p, b * b % p, i
+        t = t * c % p
+    return r
+
+
+def _lift_roots(roots: list[int], n: int, p: int, q: int) -> list[int]:
+    """Roots of x^2 = n modulo q * p from the roots modulo q, a power of p.
+
+    Each root modulo q has p candidate lifts; the true roots are kept.
+    Unlike Hensel's lemma this also covers p | n and p = 2, where a root
+    may have no lift or several.
+    """
+    qp = q * p
+    return [x for r in roots for x in range(r, qp, q) if (x * x - n) % qp == 0]
+
+
+# Largest discriminant enumerate_even_posdef_binary accepts.  Its time
+# and memory grow as sqrt(disc), as does the class list it returns: at
+# this limit about 4 s and 130 MiB on a 2-vCPU x86-64 VM.
+MAX_CLASS_DISC = 10**12
+
+
 def enumerate_even_posdef_binary(disc: int) -> list[BinaryEvenForm]:
     """All reduced even positive-definite binary forms of discriminant disc.
 
     Sorted lexicographically by (a, b, c); empty when none exist.
+
+    A reduced form has 3a^2 <= disc and 0 <= b <= a, and c = (disc + b^2)
+    / 4a is integral exactly when b^2 = -disc (mod 4a).  So for each a
+    the candidate b are the square roots of -disc modulo 4a in [0, a]:
+    roots modulo each prime power of 4a, from a smallest-prime-factor
+    table, joined by the Chinese remainder theorem (Cohen, GTM 138,
+    5.3).  A prime power with no root rules out all its multiples at
+    once.  The cost is about sqrt(disc) times small factors, not the
+    disc / 6 steps of a scan over every (a, b).
     """
     if not isinstance(disc, int) or disc < 1:
         raise ValueError("discriminant must be a positive integer")
+    if disc > MAX_CLASS_DISC:
+        raise ValueError(
+            f"discriminant {disc} exceeds the class-enumeration limit {MAX_CLASS_DISC}"
+        )
+    if disc % 4 in (1, 2):
+        return []  # b^2 = -disc (mod 4) has no solution
+    a_max = math.isqrt(disc // 3)
+    spf = _smallest_prime_factors(a_max)
+    # Roots of x^2 = -disc modulo every prime power q that divides some
+    # 4a; a power q of 2 divides 4a when q / 4 divides a.
+    roots_of: dict[int, list[int]] = {}
+    alive = bytearray([0]) + bytearray([1]) * a_max  # alive[a]: a may still carry forms
+    odd_primes = [p for p in range(3, a_max + 1) if spf[p] == p]
+    for p in [2] + odd_primes:
+        if p == 2:
+            q, step, roots = 4, 1, _lift_roots([disc % 2], -disc, 2, 2)
+        else:
+            r = _sqrt_mod_prime(-disc, p)
+            q, step, roots = p, p, [] if r is None else sorted({r, -r % p})
+        while True:
+            roots_of[q] = roots
+            if not roots:  # then no multiple of step is a valid a
+                alive[step::step] = bytes(len(range(step, a_max + 1, step)))
+                break
+            step *= p
+            if step > a_max:
+                break
+            q, roots = q * p, _lift_roots(roots, -disc, p, q)
     out = []
-    a = 1
-    while 3 * a * a <= disc:  # reduced forms satisfy 3a^2 <= 4ac - b^2
-        for b in range(a + 1):
-            num = disc + b * b
-            if num % (4 * a) == 0:
-                c = num // (4 * a)
-                if c >= a:
-                    out.append(BinaryEvenForm(a, b, c))
-        a += 1
-    out.sort()
+    for a in compress(range(a_max + 1), alive):
+        v = (a & -a).bit_length() - 1  # a = 2^v * k with k odd
+        k, modulus = a >> v, 4 << v
+        bs = roots_of[modulus]
+        while k > 1:
+            p = q = spf[k]
+            k //= p
+            while k % p == 0:
+                k, q = k // p, q * p
+            inv = pow(modulus, -1, q)
+            bs = [b + modulus * ((r - b) * inv % q) for b in bs for r in roots_of[q]]
+            modulus *= q
+        for b in sorted(bs):
+            if b > a:
+                break
+            c = (disc + b * b) // (4 * a)
+            if c >= a:
+                out.append(BinaryEvenForm(a, b, c))
     return out
 
 

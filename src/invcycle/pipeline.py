@@ -54,6 +54,7 @@ from .transcendental import (
     RigidityCertificate,
     VERDICT_FAILS,
     VERDICT_HOLDS_POSSIBLE,
+    candidate_classes,
     double_cover_disc_candidates,
     resolve_disc,
     rigidity_transfer,
@@ -369,6 +370,7 @@ def _resolution_stage(
     items = []
     reasons = []
     resolved: CentralDiscs = {}
+    classes = None  # enumerated on first use, then shared by the stages
     for name, _branch in spec.stages:
         if name in pinned or name not in surfaces:
             continue
@@ -380,8 +382,10 @@ def _resolution_stage(
             reasons.append(Reason(f"stage {name}: discriminant resolution needs a Picard assumption"))
             continue
         torsion = spec.torsion.get(name)
+        if classes is None:
+            classes = candidate_classes(candidates)
         resolution = resolve_disc(
-            candidates, spec.facts, config, inv.h11, torsion.value if torsion else None
+            candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
         )
         items.append({"stage": name, "resolution": _resolution_json(resolution)})
         resolved[name] = ([d for _a, d in resolution.surviving], "resolution")

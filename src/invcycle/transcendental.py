@@ -10,6 +10,7 @@ cycle lifting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .lattice import (
@@ -131,8 +132,17 @@ class DiscResolution:
         return live[0] if len(live) == 1 else None
 
 
+def candidate_classes(candidates: list[tuple[int, int]]) -> dict[int, list[BinaryEvenForm]]:
+    """The reduced isometry classes of each candidate discriminant.
+
+    Built once per run and shared by every stage that resolve_disc runs on.
+    """
+    return {disc: enumerate_even_posdef_binary(disc) for _alpha, disc in candidates}
+
+
 def resolve_disc(
     candidates: list[tuple[int, int]],
+    classes: dict[int, list[BinaryEvenForm]],
     facts: list[ExclusionFact],
     context: SurfaceConfig,
     rho: int,
@@ -140,29 +150,29 @@ def resolve_disc(
 ) -> DiscResolution:
     """Cross off candidates whose every isometry class is excluded.
 
-    A class-level fact kills one reduced form; the denominator-bound
-    fact kills a whole candidate.  The certificate records the outcome
-    for every candidate and every class.  All candidates excluded is an
-    error; more than one survivor is a valid ambiguous state.
+    `classes` maps each candidate discriminant to its reduced classes
+    (see candidate_classes).  A class-level fact kills one reduced form;
+    the denominator-bound fact kills a whole candidate.  The certificate
+    records the outcome for every candidate and every class.  All
+    candidates excluded is an error; more than one survivor is a valid
+    ambiguous state.
     """
     context_tokens = context.fiber_tokens()
+    # The first fact that applies here to each reduced form; a
+    # fibration fact applies only to a surface with its fiber multiset.
+    excluding: dict[BinaryEvenForm, ExclusionFact] = {}
+    for fact in facts:
+        if fact.kind in ("not_isomorphic_to", "no_fibration_with_fibers"):
+            form = reduce_binary(fact.form)
+            if fact.kind == "not_isomorphic_to" or tuple(sorted(fact.fibers)) == context_tokens:
+                excluding.setdefault(form, fact)
     certificate = []
     surviving = []
     for alpha, disc in candidates:
-        classes = enumerate_even_posdef_binary(disc)
         reason = None
         class_verdicts = []
-        for cls in classes:
-            hit: ExclusionFact | None = None
-            for fact in facts:
-                if fact.kind == "not_isomorphic_to":
-                    if reduce_binary(fact.form) == cls:
-                        hit = fact
-                        break
-                elif fact.kind == "no_fibration_with_fibers":
-                    if reduce_binary(fact.form) == cls and tuple(sorted(fact.fibers)) == context_tokens:
-                        hit = fact
-                        break
+        for cls in classes[disc]:
+            hit = excluding.get(cls)
             class_verdicts.append(
                 ClassVerdict(
                     form=cls,
@@ -170,7 +180,7 @@ def resolve_disc(
                     fact_kind=hit.kind if hit else None,
                 )
             )
-        if not classes:
+        if not class_verdicts:
             reason = "no even positive-definite binary form has this discriminant"
         for fact in facts:
             if fact.kind != "denominator_bound" or reason is not None:
@@ -254,7 +264,9 @@ def rigidity_transfer(lattice: GramLattice, index_bound: int = 10) -> RigidityCe
                 RigidityCheck(m, "enumerated-empty", f"no even overlattice of index {m}")
             )
     rigid = witness is None
-    max_possible = max((m for m in range(2, disc + 1) if disc % (m * m) == 0), default=1)
+    max_possible = max(
+        (m for m in range(2, math.isqrt(disc) + 1) if disc % (m * m) == 0), default=1
+    )
     if rigid and max_possible > index_bound:
         raise ValueError(
             f"index bound {index_bound} does not cover all determinant-admissible "

@@ -38,6 +38,7 @@ from invcycle.transcendental import (
     VERDICT_FAILS,
     VERDICT_HOLDS_POSSIBLE,
     ExclusionFact,
+    candidate_classes,
     double_cover_disc_candidates,
     resolve_disc,
     rigidity_transfer,
@@ -187,7 +188,9 @@ def test_criterion_06_discriminant_resolution_end_to_end():
                 provenance="height pairing bound",
             ),
         ]
-        resolution = resolve_disc(candidates, facts, y2, rho=20, torsion_order=1)
+        resolution = resolve_disc(
+            candidates, candidate_classes(candidates), facts, y2, rho=20, torsion_order=1
+        )
         assert resolution.resolved
         assert resolution.resolved_disc == 48
 

@@ -141,6 +141,7 @@ class TestCustomCommand:
             [[-4, -2], [-2, -4]],  # negative definite
             [[2, 2], [2, 2]],  # degenerate
             [[2, 1], [1, 2]],  # disc 3, not divisible by 4
+            [[2, 0], [0, 2]],  # halves to the odd [[1, 0], [0, 1]] at the Shioda-Inose cover
         ],
     )
     def test_invalid_seed_lattice_names_field(self, tmp_path, gram):
@@ -168,6 +169,25 @@ class TestInProcess:
         assert main(["example", "2", "--json", "--strict"]) == 1
         assert main(["example", "1", "--json"]) == 0
         capsys.readouterr()
+
+    def test_report_encoded_once_for_every_sink(self, tmp_path, capsys, monkeypatch):
+        from invcycle import cli
+
+        calls = []
+        original = cli.report_to_json
+
+        def counting(report):
+            calls.append(report)
+            return original(report)
+
+        monkeypatch.setattr(cli, "report_to_json", counting)
+        json_path, out_path = tmp_path / "x.json", tmp_path / "y.json"
+        assert cli.main(["example", "1", "--json", str(json_path), "--out", str(out_path)]) == 0
+        stdout = capsys.readouterr().out
+        assert len(calls) == 1
+        assert json_path.read_text(encoding="utf-8") == stdout
+        assert out_path.read_text(encoding="utf-8") == stdout
+        assert json.loads(stdout)["schema"] == "invcycle-report/1"
 
 
 class TestFiberCommand:

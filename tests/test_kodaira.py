@@ -1,6 +1,7 @@
 """Kodaira fiber arithmetic: tokens, Euler numbers, base change, profiles."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -223,3 +224,48 @@ class TestLargeISeries:
         assert run_example(1)["status"] == "verified"
         assert run_example(2)["status"] == "conditional"
         assert _fiber_info(capsys, "I1000000")["root_lattice_disc"] == 10**6
+
+
+class TestFiberLimit:
+    """`fiber` rejects I_n and I_n* above MAX_FIBER_N; only tokens are parsed here."""
+
+    LIMIT = kodaira.MAX_FIBER_N
+
+    def test_limit_is_accepted(self):
+        assert fiber(f"I{self.LIMIT}") == KodairaFiber("I", self.LIMIT)
+        assert fiber(f"I{self.LIMIT}*") == KodairaFiber("I*", self.LIMIT)
+
+    @pytest.mark.parametrize("suffix", ["", "*"])
+    def test_one_above_names_the_token(self, suffix):
+        token = f"I{self.LIMIT + 1}{suffix}"
+        with pytest.raises(FiberTokenError, match=re.escape(f"fiber token '{token}': n exceeds")):
+            fiber(token)
+
+    def test_huge_body_rejected_before_conversion(self):
+        token = "I" + "9" * 5000  # int() refuses more than 4300 digits by default
+        with pytest.raises(FiberTokenError, match="exceeds the limit"):
+            fiber(token)
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(FiberTokenError, match="unrecognized"):
+            fiber("I²")
+
+    def test_cli_fiber_info_exits_1(self, capsys):
+        token = f"I{self.LIMIT + 1}"
+        assert cli.main(["fiber", "info", token]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: fiber token '{token}': n exceeds the limit {self.LIMIT}\n"
+        )
+
+    def test_config_names_the_field(self):
+        from invcycle.jsonio import ParseError, parse_surface_config
+
+        doc = {
+            "name": "big",
+            "base_genus": 0,
+            "fibers": [{"label": "0", "type": "II*"}, {"label": "1", "type": f"I{self.LIMIT + 1}"}],
+        }
+        with pytest.raises(ParseError, match=r"^config\.fibers\[1\]\.type: fiber token"):
+            parse_surface_config(doc)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invcycle import cli, lattice
 from invcycle.lattice import (
     BinaryEvenForm,
     DegenerateLatticeError,
@@ -27,12 +28,27 @@ from oracles import (
     binary_classes_by_theta,
     det_permutation_expansion,
     even_overlattices_bruteforce,
+    even_posdef_binary_scan,
     random_even_posdef_gram,
     reduce_triple,
     theta_fingerprint,
 )
 
 A2 = GramLattice([[2, 1], [1, 2]])
+
+_PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+# Discriminants up to 10^7, two thirds of them divisible by 4, 8, 9, 25
+# or the square of a prime below 1000: the cases where square roots
+# modulo a prime power have no unique lift.
+_ENUM_DISCS = st.one_of(
+    st.integers(min_value=1, max_value=10**7),
+    st.sampled_from((4, 8, 9, 25)).flatmap(
+        lambda m: st.integers(min_value=1, max_value=10**7 // m).map(lambda k: m * k)
+    ),
+    st.sampled_from(_PRIMES_BELOW_1000).flatmap(
+        lambda p: st.integers(min_value=1, max_value=10**7 // (p * p)).map(lambda k: p * p * k)
+    ),
+)
 A2_SCALED = GramLattice([[4, 2], [2, 4]])
 DIAG44 = GramLattice([[4, 0], [0, 4]])
 
@@ -286,6 +302,48 @@ class TestEnumeration:
             enumerate_even_posdef_binary(0)
         with pytest.raises(ValueError):
             enumerate_even_posdef_binary(-4)
+
+    def test_against_scan_every_disc_to_20000(self):
+        for d in range(1, 20001):
+            got = [(f.a, f.b, f.c) for f in enumerate_even_posdef_binary(d)]
+            assert got == even_posdef_binary_scan(d), d
+
+    @settings(max_examples=30, deadline=None)
+    @given(_ENUM_DISCS)
+    def test_against_scan_to_ten_million(self, disc):
+        got = [(f.a, f.b, f.c) for f in enumerate_even_posdef_binary(disc)]
+        assert got == even_posdef_binary_scan(disc)
+
+    def test_pinned_disc_1600000(self):
+        # 16 * 10^5 = 2^9 * 5^5: many roots modulo powers of 2 and 5.
+        got = [(f.a, f.b, f.c) for f in enumerate_even_posdef_binary(16 * 10**5)]
+        assert got == even_posdef_binary_scan(16 * 10**5)
+        assert len(got) == 486
+        assert got[:3] == [(1, 0, 400000), (2, 0, 200000), (4, 0, 100000)]
+        assert got[-1] == (712, 688, 728)
+
+    def test_disc_limit(self, monkeypatch):
+        with pytest.raises(ValueError, match="exceeds the class-enumeration limit"):
+            enumerate_even_posdef_binary(lattice.MAX_CLASS_DISC + 1)
+
+        # At the limit the check passes; stop before the sqrt(disc) tables are built.
+        class Reached(Exception):
+            pass
+
+        def stop(n):
+            raise Reached
+
+        monkeypatch.setattr(lattice, "_smallest_prime_factors", stop)
+        with pytest.raises(Reached):
+            enumerate_even_posdef_binary(lattice.MAX_CLASS_DISC)
+
+    def test_cli_disc_above_limit_exits_1(self, capsys):
+        assert cli.main(["lattice", "enumerate", "--disc", str(10**30)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: discriminant {10**30} exceeds the class-enumeration limit {10**12}\n"
+        )
 
     def test_against_theta_oracle_to_200(self):
         for d in range(1, 201):

@@ -20,6 +20,7 @@ from invcycle.transcendental import (
     ExclusionFact,
     NothingSurvivesError,
     UnsupportedRankError,
+    candidate_classes,
     double_cover_disc_candidates,
     resolve_disc,
     rigidity_transfer,
@@ -124,7 +125,10 @@ class TestResolveDisc:
 
     def test_example1_resolves_to_48(self):
         candidates = double_cover_disc_candidates(12, 2)
-        res = resolve_disc(candidates, self.EX1_FACTS, EX1_Y2, rho=20, torsion_order=1)
+        res = resolve_disc(
+            candidates, candidate_classes(candidates),
+            self.EX1_FACTS, EX1_Y2, rho=20, torsion_order=1
+        )
         assert res.resolved
         assert res.resolved_disc == 48
         assert res.alpha == 2
@@ -132,7 +136,10 @@ class TestResolveDisc:
 
     def test_example1_certificate_details(self):
         candidates = double_cover_disc_candidates(12, 2)
-        res = resolve_disc(candidates, self.EX1_FACTS, EX1_Y2, rho=20, torsion_order=1)
+        res = resolve_disc(
+            candidates, candidate_classes(candidates),
+            self.EX1_FACTS, EX1_Y2, rho=20, torsion_order=1
+        )
         by_disc = {c.disc: c for c in res.certificate}
         # Candidate 3: the single class (1,1,1) is killed by the isomorphism fact,
         # and the height bound also rules the candidate out independently.
@@ -154,7 +161,10 @@ class TestResolveDisc:
         # facts no longer apply, so candidate 12 survives too.
         other = config(["IV*", "IV*", "IV*"])
         candidates = double_cover_disc_candidates(12, 2)
-        res = resolve_disc(candidates, self.EX1_FACTS[:3], other, rho=20, torsion_order=1)
+        res = resolve_disc(
+            candidates, candidate_classes(candidates),
+            self.EX1_FACTS[:3], other, rho=20, torsion_order=1
+        )
         assert not res.resolved
         assert {d for _, d in res.surviving} == {12, 48}
 
@@ -170,7 +180,9 @@ class TestResolveDisc:
             ),
             bound_fact(),
         ]
-        res = resolve_disc(candidates, facts, ex2, rho=20, torsion_order=1)
+        res = resolve_disc(
+            candidates, candidate_classes(candidates), facts, ex2, rho=20, torsion_order=1
+        )
         assert not res.resolved
         assert {d for _, d in res.surviving} == {16, 64}
         assert res.resolved_disc is None
@@ -178,7 +190,10 @@ class TestResolveDisc:
 
     def test_bound_skipped_without_torsion(self):
         candidates = double_cover_disc_candidates(12, 2)
-        res = resolve_disc(candidates, [bound_fact()], EX1_Y2, rho=20, torsion_order=None)
+        res = resolve_disc(
+            candidates, candidate_classes(candidates),
+            [bound_fact()], EX1_Y2, rho=20, torsion_order=None
+        )
         assert {d for _, d in res.surviving} == {3, 12, 48}
 
     def test_nothing_survives(self):
@@ -194,16 +209,45 @@ class TestResolveDisc:
             ),
         ]
         with pytest.raises(NothingSurvivesError):
-            resolve_disc(candidates, facts, EX1_Y2, rho=20, torsion_order=1)
+            resolve_disc(
+                candidates, candidate_classes(candidates), facts, EX1_Y2, rho=20, torsion_order=1
+            )
 
     def test_empty_genus_candidate_excluded(self):
         # disc 1 and 2 have no even positive-definite binary forms.
         candidates = [(0, 1), (1, 4)]
-        res = resolve_disc(candidates, [], EX1_Y2, rho=20, torsion_order=1)
+        res = resolve_disc(
+            candidates, candidate_classes(candidates), [], EX1_Y2, rho=20, torsion_order=1
+        )
         by_disc = {c.disc: c for c in res.certificate}
         assert by_disc[1].excluded
         assert "no even positive-definite binary form" in by_disc[1].reason
         assert res.surviving == ((1, 4),)
+
+    def test_first_applicable_fact_names_the_exclusion(self):
+        # Two facts exclude (1, 0, 3), given unreduced; the first one that
+        # applies to this surface is the one the certificate quotes.
+        def fact(kind, form, provenance, fibers=None):
+            return ExclusionFact(kind=kind, form=form, fibers=fibers, provenance=provenance)
+
+        unreduced = BinaryEvenForm(3, 0, 1)
+        facts = [
+            fact("no_fibration_with_fibers", unreduced, "other surface", ("II*", "II*")),
+            fact("not_isomorphic_to", unreduced, "first"),
+            fact("no_fibration_with_fibers", unreduced, "second", tuple(EX1_Y2.fiber_tokens())),
+        ]
+        candidates = [(1, 12)]
+        res = resolve_disc(
+            candidates, candidate_classes(candidates), facts, EX1_Y2, rho=20, torsion_order=None
+        )
+        (cv,) = [cv for cv in res.certificate[0].classes if cv.form == BinaryEvenForm(1, 0, 3)]
+        assert (cv.excluded_by, cv.fact_kind) == ("first", "not_isomorphic_to")
+        res = resolve_disc(
+            candidates, candidate_classes(candidates), [facts[0], facts[2]], EX1_Y2,
+            rho=20, torsion_order=None,
+        )
+        (cv,) = [cv for cv in res.certificate[0].classes if cv.form == BinaryEvenForm(1, 0, 3)]
+        assert (cv.excluded_by, cv.fact_kind) == ("second", "no_fibration_with_fibers")
 
     def test_surviving_form_unique_class(self):
         # A2(2) is the only class of disc 12 left after killing diag(2,6);
@@ -216,7 +260,9 @@ class TestResolveDisc:
                 provenance="p",
             )
         ]
-        res = resolve_disc([(1, 12)], facts, EX1_Y2, rho=20, torsion_order=None)
+        res = resolve_disc(
+            [(1, 12)], candidate_classes([(1, 12)]), facts, EX1_Y2, rho=20, torsion_order=None
+        )
         assert res.resolved
         assert res.surviving_form == BinaryEvenForm(2, 2, 2)
 
@@ -255,6 +301,22 @@ class TestRigidity:
         big = GramLattice([[2, 0], [0, 2 * 11 * 11]])
         with pytest.raises(ValueError):
             rigidity_transfer(big, index_bound=10)
+
+    @pytest.mark.parametrize(
+        "gram, largest",
+        [
+            ([[2, 1], [1, 182]], 11),  # disc 363 = 3 * 11^2
+            ([[2, 1], [1, 1527122]], 1009),  # disc 3054243 = 3 * 1009^2, 1009 prime
+            ([[2, 0], [0, 242]], 22),  # disc 484 = 22^2: the scan must reach isqrt(disc)
+        ],
+    )
+    def test_uncovered_index_message(self, gram, largest):
+        with pytest.raises(ValueError) as excinfo:
+            rigidity_transfer(GramLattice(gram))
+        assert str(excinfo.value) == (
+            "index bound 10 does not cover all determinant-admissible indices "
+            f"up to {largest}"
+        )
 
     def test_input_validation(self):
         with pytest.raises(UnsupportedRankError):
