@@ -8,7 +8,9 @@ errors carry the position, schema errors carry the offending field.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 from typing import Any
 
@@ -153,6 +155,8 @@ def parse_exclusion_fact(obj: Any, where: str) -> ExclusionFact:
             form = BinaryEvenForm.from_gram(lattice)
         except ValueError as exc:
             raise SchemaError(f"{where}.form: {exc}") from exc
+        if not form.is_positive_definite():
+            raise SchemaError(f"{where}.form: the form must be positive definite")
     fibers = None
     if "fibers" in obj:
         raw = obj["fibers"]
@@ -267,5 +271,67 @@ def _parse_payload(name: str, payload: dict, where: str) -> tuple[str | None, An
 
 
 def dumps_canonical(document: Any) -> str:
-    """Deterministic JSON rendering: sorted keys, two-space indent."""
-    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Deterministic JSON rendering: sorted keys, two-space indent.
+
+    Byte for byte equal to json.dumps(document, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\n", whose indent path is the stdlib's pure-Python
+    encoder.  Only the report's types are accepted: dicts with str keys,
+    lists, str, int, bool and None.  Anything else raises TypeError.
+    """
+    parts: list[str] = []
+    _encode(document, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(value: Any, append: Callable[[str], None], pad: str) -> None:
+    """Append value's JSON; pad is a newline plus the current indent.
+
+    A module-level function that takes `append`: nested closures over the
+    parts list would form a reference cycle on every call, keeping the list
+    alive until the cyclic garbage collector runs.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            if type(item) is str:
+                append(f"{sep}{_encode_str(key)}: {_encode_str(item)}")
+            else:
+                append(f"{sep}{_encode_str(key)}: ")
+                _encode(item, append, inner)
+            sep = "," + inner
+        append(pad + "}")
+    elif kind is list:
+        if not value:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                append(sep + _encode_str(item))
+            else:
+                append(sep)
+                _encode(item, append, inner)
+            sep = "," + inner
+        append(pad + "]")
+    elif kind is str:
+        append(_encode_str(value))
+    elif kind is int:
+        append(repr(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    else:
+        raise TypeError(f"object of type {kind.__name__} is not canonical JSON")

@@ -38,7 +38,7 @@ from .jsonio import (
     surface_config_to_json,
 )
 from .kodaira import is_star
-from .lattice import NotPerfectSquareRatioError
+from .lattice import MAX_CLASS_DISC, NotPerfectSquareRatioError
 from .mordell_weil import check_disc_consistency, shioda_tate
 from .surfaces import (
     BaseChangeResult,
@@ -64,6 +64,11 @@ from .transcendental import (
 
 SEED_STAGE = "X"
 FAMILY_STAGE = "S_t"
+# Every stage an assumption may name: the seed, the family and the three
+# K3 double covers that a branch with three star fibers derives.  Y0-Y2
+# are accepted whatever the branch: one without three stars derives none
+# of them, and that input still gets a report, not an input error.
+STAGE_NAMES = (SEED_STAGE, FAMILY_STAGE, "Y0", "Y1", "Y2")
 
 TAGS = ("paper", "trivial", "derived", "assumed")
 
@@ -105,6 +110,7 @@ def build_pipeline_spec(
     The family stage uses the branch set as given.  When the branch
     contains exactly three star fibers, each pair of them defines one
     K3 double-cover stage: Y_k omits the k-th star (in fiber order).
+    An assumption naming a stage outside STAGE_NAMES is a SchemaError.
     """
     stages: list[tuple[str, BranchSpec]] = [(FAMILY_STAGE, family_branch)]
     star_labels = [
@@ -114,6 +120,12 @@ def build_pipeline_spec(
         for k in range(3):
             pair = frozenset(x for i, x in enumerate(star_labels) if i != k)
             stages.append((f"Y{k}", BranchSpec(pair)))
+    for i, a in enumerate(assumptions):
+        if a.stage is not None and a.stage not in STAGE_NAMES:
+            raise SchemaError(
+                f"assumptions[{i}].payload.stage: unknown stage {a.stage!r}; "
+                f"the stages are {', '.join(STAGE_NAMES)}"
+            )
     named = {a.name: a for a in assumptions}
     return PipelineSpec(
         seed=seed,
@@ -363,6 +375,21 @@ def _assumed_lattices(
     return ({"assumed_stage_lattices": entries} if entries else {}), [], pinned
 
 
+def _check_class_limit(spec: PipelineSpec, candidates: list[tuple[int, int]]) -> None:
+    """Refuse a seed lattice whose largest candidate is over the class limit.
+
+    Checked before any candidate is enumerated: the smaller ones alone can
+    take seconds.
+    """
+    largest = max(disc for _alpha, disc in candidates)
+    if largest > MAX_CLASS_DISC:
+        i = spec.assumptions.index(spec.seed_lattice)
+        raise SchemaError(
+            f"assumptions[{i}].payload.gram: the discriminant candidate {largest} "
+            f"exceeds the class-enumeration limit {MAX_CLASS_DISC}"
+        )
+
+
 def _resolution_stage(
     spec: PipelineSpec, surfaces: Surfaces, candidates: list[tuple[int, int]], pinned: CentralDiscs
 ) -> tuple[dict, list[Reason], CentralDiscs]:
@@ -383,6 +410,7 @@ def _resolution_stage(
             continue
         torsion = spec.torsion.get(name)
         if classes is None:
+            _check_class_limit(spec, candidates)
             classes = candidate_classes(candidates)
         resolution = resolve_disc(
             candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None

@@ -58,12 +58,6 @@ class SurfaceConfig:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.fibers)
 
-    def fiber_at(self, label: str) -> KodairaFiber:
-        for lab, f in self.fibers:
-            if lab == label:
-                return f
-        raise KeyError(label)
-
     def euler_total(self) -> int:
         return sum(euler_number(f) for _, f in self.fibers)
 

@@ -27,6 +27,23 @@ def bundled_path(example, name, tmp_path):
     return path
 
 
+def first(entries, name):
+    return next(entry for entry in entries if entry["name"] == name)
+
+
+def example1_args(tmp_path, edit):
+    """`custom` arguments for example 1 with `edit` applied to its assumption list."""
+    doc = json.loads(bundled_path("example1", "assumptions.json", tmp_path).read_text())
+    edit(doc["assumptions"])
+    assumptions = tmp_path / "assumptions.json"
+    assumptions.write_text(json.dumps(doc), encoding="utf-8")
+    return (
+        "--config", str(bundled_path("example1", "config.json", tmp_path)),
+        "--branch", str(bundled_path("example1", "branch.json", tmp_path)),
+        "--assumptions", str(assumptions),
+    )
+
+
 class TestExampleCommand:
     def test_example1_exit_zero(self):
         proc = run_cli("example", "1")
@@ -145,21 +162,42 @@ class TestCustomCommand:
         ],
     )
     def test_invalid_seed_lattice_names_field(self, tmp_path, gram):
-        doc = json.loads(bundled_path("example1", "assumptions.json", tmp_path).read_text())
-        for entry in doc["assumptions"]:
-            if entry["name"] == "seed_transcendental_lattice":
-                entry["payload"]["gram"] = gram
-        assumptions = tmp_path / "assumptions.json"
-        assumptions.write_text(json.dumps(doc), encoding="utf-8")
-        proc = run_cli(
-            "custom",
-            "--config", str(bundled_path("example1", "config.json", tmp_path)),
-            "--branch", str(bundled_path("example1", "branch.json", tmp_path)),
-            "--assumptions", str(assumptions),
-        )
+        def edit(entries):
+            first(entries, "seed_transcendental_lattice")["payload"]["gram"] = gram
+
+        proc = run_cli("custom", *example1_args(tmp_path, edit))
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: assumptions[3].payload.gram: ")
         assert "Traceback" not in proc.stderr
+
+    def test_indefinite_exclusion_form_names_field(self, tmp_path):
+        def edit(entries):
+            first(entries, "exclusion_fact")["payload"]["form"] = [[-2, 0], [0, -2]]
+
+        proc = run_cli("custom", *example1_args(tmp_path, edit))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: assumptions[11].payload.form: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "torsion_order", "payload": {"stage": "Z9", "order": 1}},
+            {
+                "name": "stage_transcendental_lattice",
+                "payload": {"stage": "Y9", "gram": [[2, 1], [1, 2]]},
+            },
+        ],
+    )
+    def test_unknown_stage_names_field(self, tmp_path, entry):
+        def edit(entries):
+            entries.append({**entry, "provenance": "p"})
+
+        proc = run_cli("custom", *example1_args(tmp_path, edit))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: assumptions[14].payload.stage: ")
+        assert entry["payload"]["stage"] in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestInProcess:
@@ -188,6 +226,24 @@ class TestInProcess:
         assert json_path.read_text(encoding="utf-8") == stdout
         assert out_path.read_text(encoding="utf-8") == stdout
         assert json.loads(stdout)["schema"] == "invcycle-report/1"
+
+    def test_seed_over_class_limit_enumerates_nothing(self, tmp_path, capsys, monkeypatch):
+        from invcycle import cli, transcendental
+
+        def forbidden(disc):
+            raise AssertionError(f"enumerated discriminant {disc}")
+
+        def edit(entries):
+            seed = first(entries, "seed_transcendental_lattice")
+            seed["payload"]["gram"] = [[4, 2], [2, 200_000_000_000]]
+
+        # Candidates 2e11 and 8e11 are under the limit, 4 * disc is over it.
+        monkeypatch.setattr(transcendental, "enumerate_even_posdef_binary", forbidden)
+        assert cli.main(["custom", *example1_args(tmp_path, edit)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: assumptions[3].payload.gram: ")
+        assert "3199999999984" in err
 
 
 class TestFiberCommand:

@@ -1,11 +1,14 @@
 """Document parsing, serialization round-trips, and schema validation."""
 
+import gc
 import json
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invcycle.jsonio import (
     InputError,
@@ -25,6 +28,7 @@ from invcycle.jsonio import (
     surface_config_to_json,
 )
 from invcycle.lattice import GramLattice
+from invcycle.pipeline import run_example
 
 
 class TestLoadJson:
@@ -316,6 +320,26 @@ class TestAssumptions:
         assert [a.stage for a in parse_assumptions(doc)] == ["Y0", "Y1"]
 
 
+def stdlib_canonical(document):
+    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀'), st.characters()))
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**30)
+    | st.integers(max_value=-(10**30))
+    | TEXT
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=40,
+)
+
+
 class TestCanonicalDump:
     def test_sorted_and_newline_terminated(self):
         text = dumps_canonical({"b": 1, "a": [2, 1]})
@@ -323,6 +347,36 @@ class TestCanonicalDump:
 
     def test_non_ascii_preserved(self):
         assert dumps_canonical({"k": "Néron"}) == '{\n  "k": "Néron"\n}\n'
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=DOCUMENTS, depth=st.integers(0, 120))
+    def test_matches_stdlib(self, document, depth):
+        # Wrap in alternating lists and dicts, past any fixed indent table.
+        for level in range(depth):
+            document = [document] if level % 2 else {"k": document, "": []}
+        assert dumps_canonical(document) == stdlib_canonical(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [(1, 2), 1.5, {"a": [0.0]}, {1: "one"}, {"a": {None: 1}}, [{"b": ("x",)}], {"s": {"x"}}],
+    )
+    def test_other_types_rejected(self, document):
+        with pytest.raises(TypeError):
+            dumps_canonical(document)
+
+    def test_leaves_no_reference_cycle(self):
+        # A cycle would keep the parts list alive until the cyclic collector
+        # ran.  The stdlib's indent path, nested closures, leaves one.
+        report = run_example(1)
+        expected = stdlib_canonical(report)
+        gc.collect()
+        gc.disable()
+        try:
+            text = dumps_canonical(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert text == expected
 
 
 def bundled(example, name):
