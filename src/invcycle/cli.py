@@ -4,52 +4,37 @@ Exit codes: 0 when every stage of a verification run is decisively
 resolved, 2 when the run completed but some conclusion stayed ambiguous
 or was skipped for lack of inputs (--strict turns that into 1), and 1
 for contradictions, malformed input, or any other error.
+
+Each handler imports the modules it runs, so `lattice …` and `fiber …`
+load `jsonio`, `lattice` and `kodaira` only, never the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .jsonio import (
     InputError,
-    ParseError,
+    PipelineError,
     dumps_canonical,
     gram_to_json,
     load_json,
+    loads_json,
     parse_branch_spec,
     parse_gram,
     parse_surface_config,
 )
-from .kodaira import delta, euler_number, fiber, fiber_profile, quadratic_base_change_fiber
-from .lattice import (
-    BinaryEvenForm,
-    enumerate_even_overlattices,
-    enumerate_even_posdef_binary,
-    reduce_binary,
-)
-from .pipeline import (
-    PipelineError,
-    render_text,
-    report_exit_code,
-    report_to_json,
-    run_custom,
-    run_example,
-)
-from .surfaces import quadratic_base_change
 
 
 def _parse_gram_arg(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--gram is not valid JSON: {exc}") from None
-    return parse_gram(doc, "--gram")
+    return parse_gram(loads_json(text, "--gram"), "--gram")
 
 
 def _emit_report(report: dict, args) -> int:
+    from .pipeline import render_text, report_exit_code, report_to_json
+
     # Encoded once: stdout, --json PATH and --out get the same string.
     encoded = report_to_json(report) if args.json is not None or args.out else None
     sys.stdout.write(encoded if args.json is not None else render_text(report))
@@ -61,14 +46,20 @@ def _emit_report(report: dict, args) -> int:
 
 
 def _cmd_example(args) -> int:
+    from .pipeline import run_example
+
     return _emit_report(run_example(args.number), args)
 
 
 def _cmd_custom(args) -> int:
+    from .pipeline import run_custom
+
     return _emit_report(run_custom(args.config, args.branch, args.assumptions), args)
 
 
 def _cmd_fiber(args) -> int:
+    from .kodaira import delta, euler_number, fiber, fiber_profile, quadratic_base_change_fiber
+
     f = fiber(args.token)
     profile = fiber_profile(f)
     doc = {
@@ -87,6 +78,8 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_lattice_reduce(args) -> int:
+    from .lattice import BinaryEvenForm, reduce_binary
+
     gram = _parse_gram_arg(args.gram)
     form = reduce_binary(BinaryEvenForm.from_gram(gram))
     doc = {
@@ -99,6 +92,8 @@ def _cmd_lattice_reduce(args) -> int:
 
 
 def _cmd_lattice_enumerate(args) -> int:
+    from .lattice import enumerate_even_posdef_binary
+
     forms = enumerate_even_posdef_binary(args.disc)
     doc = {
         "disc": args.disc,
@@ -112,6 +107,8 @@ def _cmd_lattice_enumerate(args) -> int:
 
 
 def _cmd_lattice_overlattices(args) -> int:
+    from .lattice import enumerate_even_overlattices
+
     gram = _parse_gram_arg(args.gram)
     overs = enumerate_even_overlattices(gram, args.index)
     doc = {
@@ -127,6 +124,8 @@ def _cmd_lattice_overlattices(args) -> int:
 
 
 def _cmd_basechange(args) -> int:
+    from .surfaces import quadratic_base_change
+
     config = parse_surface_config(load_json(args.config), "config")
     branch = parse_branch_spec(load_json(args.branch), "branch")
     result = quadratic_base_change(config, branch)

@@ -1,23 +1,29 @@
 """JSON parsing and serialization for configurations, lattices and facts.
 
-Gram matrix entries travel as decimal integer strings so that values of
-any size survive serialization; integers are accepted on input.  Parse
-errors carry the position, schema errors carry the offending field.
+Gram matrix entries travel as decimal integer strings; integers are
+accepted on input.  Either way their size is bounded by Python's int/str
+conversion limit (sys.get_int_max_str_digits(), 4300 digits by default),
+which also bounds every number in the output.  Parse errors carry the
+position, schema errors carry the offending field.
+
+`surfaces` and `transcendental` are imported inside the parse functions
+that build their types, so the lattice and fiber commands never load them.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .kodaira import FiberTokenError, fiber
-from .lattice import BinaryEvenForm, GramLattice
-from .surfaces import BranchSpec, OddBranchCountError, SurfaceConfig
-from .transcendental import ExclusionFact
+from .lattice import BinaryEvenForm, FrozenRecord, GramLattice
+
+if TYPE_CHECKING:
+    from .surfaces import BranchSpec, SurfaceConfig
+    from .transcendental import ExclusionFact
 
 
 class InputError(ValueError):
@@ -32,12 +38,30 @@ class SchemaError(InputError):
     """The document does not match the expected shape; names the field."""
 
 
-def load_json(path: str | Path) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
+class PipelineError(RuntimeError):
+    """The pipeline cannot run on this input."""
+
+
+def _digit_limit_error(where: str, exc: ValueError) -> ParseError:
+    """int() and json.loads refuse integers past the int/str conversion
+    limit; keep the limit from the message, drop the advice to raise it."""
+    return ParseError(f"{where}: {str(exc).split(';')[0]}")
+
+
+def loads_json(text: str, source: str) -> Any:
+    """json.loads, with every way the text can fail a ParseError naming source."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ParseError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise _digit_limit_error(source, exc) from None
+    except RecursionError:
+        raise ParseError(f"{source}: arrays or objects nested too deeply") from None
+
+
+def load_json(path: str | Path) -> Any:
+    return loads_json(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def _require(obj: Any, field: str, kind: type, where: str) -> Any:
@@ -69,7 +93,10 @@ def parse_int_entry(value: Any, where: str) -> int:
         stripped = value.strip()
         sign_stripped = stripped[1:] if stripped[:1] in "+-" else stripped
         if sign_stripped.isdigit():
-            return int(stripped)
+            try:
+                return int(stripped)
+            except ValueError as exc:
+                raise _digit_limit_error(where, exc) from None
         raise ParseError(f"{where}: {value!r} is not a decimal integer string")
     raise SchemaError(f"{where}: expected an integer or integer string")
 
@@ -101,6 +128,8 @@ def parse_fiber_token(value: Any, where: str) -> Any:
 
 
 def parse_surface_config(obj: Any, where: str = "config") -> SurfaceConfig:
+    from .surfaces import SurfaceConfig
+
     name = _require(obj, "name", str, where)
     genus = _require(obj, "base_genus", int, where)
     fibers_raw = _require(obj, "fibers", list, where)
@@ -127,6 +156,8 @@ def surface_config_to_json(config: SurfaceConfig) -> dict:
 
 
 def parse_branch_spec(obj: Any, where: str = "branch") -> BranchSpec:
+    from .surfaces import BranchSpec, OddBranchCountError
+
     labels = _require(obj, "branch", list, where)
     _reject_unknown(obj, {"branch"}, where)
     for i, label in enumerate(labels):
@@ -145,6 +176,8 @@ def branch_spec_to_json(branch: BranchSpec) -> dict:
 
 
 def parse_exclusion_fact(obj: Any, where: str) -> ExclusionFact:
+    from .transcendental import ExclusionFact
+
     kind = _require(obj, "kind", str, where)
     provenance = _require(obj, "provenance", str, where)
     _reject_unknown(obj, {"kind", "form", "fibers", "provenance"}, where)
@@ -181,15 +214,29 @@ def exclusion_fact_to_json(fact: ExclusionFact) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Assumption:
-    """One declared assumption: the payload as written and its parsed value."""
+class Assumption(FrozenRecord):
+    """One declared assumption: the payload as written and its parsed value.
 
-    name: str
-    payload: dict
-    provenance: str
-    stage: str | None = None  # for shioda_inose_cover and the per-stage assumptions
-    value: GramLattice | ExclusionFact | int | None = None  # lattice, fact or torsion order
+    stage is set for shioda_inose_cover and the per-stage assumptions;
+    value is the declared lattice, exclusion fact or torsion order.
+    """
+
+    __slots__ = ("name", "payload", "provenance", "stage", "value")
+
+    def __init__(
+        self,
+        name: str,
+        payload: dict,
+        provenance: str,
+        stage: str | None = None,
+        value: GramLattice | ExclusionFact | int | None = None,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "payload", payload)
+        set_field(self, "provenance", provenance)
+        set_field(self, "stage", stage)
+        set_field(self, "value", value)
 
 
 FLAG_ASSUMPTIONS = ("picard_maximal", "constant_transcendental_vhs", "specialization_injective")

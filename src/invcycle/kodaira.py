@@ -13,10 +13,9 @@ root_lattice, which the tests do to cross-check the catalog.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .lattice import GramLattice, root_gram
+from .lattice import FrozenRecord, GramLattice, root_gram
 
 _PARAMETRIC_KINDS = ("I", "I*")
 
@@ -58,26 +57,26 @@ class InternalInconsistencyError(RuntimeError):
     """A table self-check failed; indicates corrupted fiber data."""
 
 
-@dataclass(frozen=True)
-class KodairaFiber:
+class KodairaFiber(FrozenRecord):
     """A Kodaira fiber type: kind in {I, I*, II, III, IV, II*, III*, IV*}.
 
     The multiplicity parameter n is present exactly for the I and I*
     series (n >= 0).
     """
 
-    kind: str
-    n: int | None = None
+    __slots__ = ("kind", "n")
 
-    def __post_init__(self) -> None:
-        if self.kind in _PARAMETRIC_KINDS:
-            if not isinstance(self.n, int) or self.n < 0:
-                raise ValueError(f"{self.kind} fiber needs an integer n >= 0")
-        elif self.kind in _CATALOG:
-            if self.n is not None:
-                raise ValueError(f"{self.kind} fiber takes no parameter")
+    def __init__(self, kind: str, n: int | None = None) -> None:
+        if kind in _PARAMETRIC_KINDS:
+            if not isinstance(n, int) or n < 0:
+                raise ValueError(f"{kind} fiber needs an integer n >= 0")
+        elif kind in _CATALOG:
+            if n is not None:
+                raise ValueError(f"{kind} fiber takes no parameter")
         else:
-            raise ValueError(f"unknown fiber kind {self.kind!r}")
+            raise ValueError(f"unknown fiber kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
 
     @property
     def token(self) -> str:
@@ -154,17 +153,37 @@ def delta(f: KodairaFiber) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class FiberProfile:
-    """Component-level data of a fiber inside the Neron-Severi lattice."""
+class FiberProfile(FrozenRecord):
+    """Component-level data of a fiber inside the Neron-Severi lattice.
 
-    euler: int
-    components: int
-    root_type: str | None  # Dynkin type; None when there is no root lattice
-    root_rank: int  # components - 1
-    root_disc: int
-    odd_multiplicity_components: int | None  # star fibers only
-    contribution_denominators: frozenset[int]
+    root_type is the Dynkin type, None when there is no root lattice;
+    root_rank is components - 1; odd_multiplicity_components is set for
+    star fibers only.
+    """
+
+    __slots__ = (
+        "euler", "components", "root_type", "root_rank", "root_disc",
+        "odd_multiplicity_components", "contribution_denominators",
+    )
+
+    def __init__(
+        self,
+        euler: int,
+        components: int,
+        root_type: str | None,
+        root_rank: int,
+        root_disc: int,
+        odd_multiplicity_components: int | None,
+        contribution_denominators: frozenset[int],
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "euler", euler)
+        set_field(self, "components", components)
+        set_field(self, "root_type", root_type)
+        set_field(self, "root_rank", root_rank)
+        set_field(self, "root_disc", root_disc)
+        set_field(self, "odd_multiplicity_components", odd_multiplicity_components)
+        set_field(self, "contribution_denominators", contribution_denominators)
 
     @property
     def root_lattice(self) -> GramLattice:

@@ -8,8 +8,8 @@ pure, so the module is safe to use from concurrent callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, product
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -274,17 +274,83 @@ def smith_normal_form(
     return freeze(d), freeze(u), freeze(v)
 
 
-@dataclass(frozen=True, order=True)
-class BinaryEvenForm:
-    """Even binary form with Gram matrix [[2a, b], [b, 2c]]."""
+class FrozenRecord:
+    """Immutable record over __slots__, as @dataclass(frozen=True) makes one.
 
-    a: int
-    b: int
-    c: int
+    Instances are equal field by field, and only to instances of the same
+    class: a plain tuple never equals a record.  The hash is that of the
+    field tuple, the repr is `Name(field=value, ...)`, and assigning or
+    deleting an attribute raises AttributeError.  A subclass lists its
+    two or more fields in __slots__ and sets them in __init__ with
+    object.__setattr__.
 
-    def __post_init__(self) -> None:
-        for x in (self.a, self.b, self.c):
+    Written out because @dataclass builds its methods through exec and
+    importing dataclasses loads inspect: the lattice and fiber commands,
+    whose run takes milliseconds, load neither.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._values = property(attrgetter(*cls.__slots__))  # the field tuple
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+
+class BinaryEvenForm(FrozenRecord):
+    """Even binary form with Gram matrix [[2a, b], [b, 2c]].
+
+    Forms order by (a, b, c).
+    """
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int) -> None:
+        for x in (a, b, c):
             _check_int(x)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values <= other._values
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values > other._values
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values >= other._values
+        return NotImplemented
 
     @property
     def disc(self) -> int:

@@ -27,6 +27,7 @@ from typing import Any
 from .jsonio import (
     FLAG_ASSUMPTIONS,
     Assumption,
+    PipelineError,
     SchemaError,
     dumps_canonical,
     exclusion_fact_to_json,
@@ -71,10 +72,6 @@ FAMILY_STAGE = "S_t"
 STAGE_NAMES = (SEED_STAGE, FAMILY_STAGE, "Y0", "Y1", "Y2")
 
 TAGS = ("paper", "trivial", "derived", "assumed")
-
-
-class PipelineError(RuntimeError):
-    """The pipeline cannot run on this input."""
 
 
 class PipelineContradictionError(PipelineError):

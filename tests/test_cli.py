@@ -209,16 +209,17 @@ class TestInProcess:
         capsys.readouterr()
 
     def test_report_encoded_once_for_every_sink(self, tmp_path, capsys, monkeypatch):
-        from invcycle import cli
+        from invcycle import cli, pipeline
 
         calls = []
-        original = cli.report_to_json
+        original = pipeline.report_to_json
 
         def counting(report):
             calls.append(report)
             return original(report)
 
-        monkeypatch.setattr(cli, "report_to_json", counting)
+        # The handler imports report_to_json when it runs, so it sees the patch.
+        monkeypatch.setattr(pipeline, "report_to_json", counting)
         json_path, out_path = tmp_path / "x.json", tmp_path / "y.json"
         assert cli.main(["example", "1", "--json", str(json_path), "--out", str(out_path)]) == 0
         stdout = capsys.readouterr().out
@@ -244,6 +245,51 @@ class TestInProcess:
         assert out == ""
         assert err.startswith("error: assumptions[3].payload.gram: ")
         assert "3199999999984" in err
+
+
+class TestPythonLimits:
+    """Documents past Python's JSON nesting or int/str digit limits end in
+    one `error:` line naming the argument or file, run in process."""
+
+    def run_main(self, capsys, argv):
+        from invcycle import cli
+
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_deep_config(self, tmp_path, capsys):
+        args = list(example1_args(tmp_path, lambda entries: None))
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        args[args.index("--config") + 1] = str(deep)
+        err = self.run_main(capsys, ["custom", *args])
+        assert err == f"error: {deep}: arrays or objects nested too deeply\n"
+
+    def test_deep_gram(self, capsys):
+        gram = "[" * 3000 + "]" * 3000
+        err = self.run_main(capsys, ["lattice", "reduce", "--gram", gram])
+        assert err == "error: --gram: arrays or objects nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "quote, where", [('"', "--gram[0][0]"), ("", "--gram")], ids=["string", "bare"]
+    )
+    def test_gram_entry_past_digit_limit(self, capsys, quote, where):
+        entry = quote + "4" * 4400 + quote
+        err = self.run_main(capsys, ["lattice", "reduce", "--gram", f"[[{entry}, 1], [1, 2]]"])
+        assert err.startswith(f"error: {where}: Exceeds the limit (4300 digits)")
+        assert "value has 4400 digits" in err
+
+    def test_config_number_past_digit_limit(self, tmp_path, capsys):
+        args = list(example1_args(tmp_path, lambda entries: None))
+        big = tmp_path / "big.json"
+        big.write_text("1" * 5000, encoding="utf-8")
+        args[args.index("--config") + 1] = str(big)
+        err = self.run_main(capsys, ["custom", *args])
+        assert err.startswith(f"error: {big}: Exceeds the limit (4300 digits)")
 
 
 class TestFiberCommand:

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -40,6 +41,23 @@ class TestLoadJson:
         assert "line 2" in str(exc.value)
         assert "column" in str(exc.value)
 
+    def test_integer_past_digit_limit_names_path(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text("1" * 5000, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_json(big)
+        assert str(exc.value) == (
+            f"{big}: Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer "
+            "string conversion: value has 5000 digits"
+        )
+
+    def test_deep_nesting_names_path(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(ParseError, match="arrays or objects nested too deeply") as exc:
+            load_json(deep)
+        assert str(exc.value).startswith(f"{deep}: ")
+
     def test_error_hierarchy(self):
         assert issubclass(ParseError, InputError)
         assert issubclass(SchemaError, InputError)
@@ -62,6 +80,20 @@ class TestIntEntries:
     def test_huge_entry_survives(self):
         big = 10**40
         assert parse_int_entry(str(big), "x") == big
+
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_entry_past_digit_limit_names_field(self, sign):
+        digits = sys.get_int_max_str_digits() + 100
+        with pytest.raises(ParseError) as exc:
+            parse_int_entry(sign + "4" * digits, "--gram[0][0]")
+        assert str(exc.value) == (
+            f"--gram[0][0]: Exceeds the limit ({digits - 100} digits) for integer "
+            f"string conversion: value has {digits} digits"
+        )
+
+    def test_entry_at_digit_limit_survives(self):
+        digits = sys.get_int_max_str_digits()
+        assert parse_int_entry("9" * digits, "x") == 10**digits - 1
 
 
 class TestGram:
