@@ -19,6 +19,7 @@ from .jsonio import (
     InputError,
     PipelineError,
     dumps_canonical,
+    form_to_json,
     gram_to_json,
     load_json,
     loads_json,
@@ -83,7 +84,7 @@ def _cmd_lattice_reduce(args) -> int:
     gram = _parse_gram_arg(args.gram)
     form = reduce_binary(BinaryEvenForm.from_gram(gram))
     doc = {
-        "reduced": gram_to_json(form.gram()),
+        "reduced": form_to_json(form),
         "coefficients": [form.a, form.b, form.c],
         "disc": form.disc,
     }
@@ -99,7 +100,7 @@ def _cmd_lattice_enumerate(args) -> int:
         "disc": args.disc,
         "count": len(forms),
         "classes": [
-            {"coefficients": [f.a, f.b, f.c], "gram": gram_to_json(f.gram())} for f in forms
+            {"coefficients": [f.a, f.b, f.c], "gram": form_to_json(f)} for f in forms
         ],
     }
     sys.stdout.write(dumps_canonical(doc))

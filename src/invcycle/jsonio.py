@@ -91,8 +91,9 @@ def parse_int_entry(value: Any, where: str) -> int:
         return value
     if isinstance(value, str):
         stripped = value.strip()
-        sign_stripped = stripped[1:] if stripped[:1] in "+-" else stripped
-        if sign_stripped.isdigit():
+        digits = stripped[1:] if stripped[:1] in "+-" else stripped
+        # ASCII only: str.isdigit() and int() also take other scripts' digits.
+        if digits.isascii() and digits.isdigit():
             try:
                 return int(stripped)
             except ValueError as exc:
@@ -116,6 +117,12 @@ def parse_gram(value: Any, where: str) -> GramLattice:
 
 def gram_to_json(lattice: GramLattice) -> list[list[str]]:
     return [[str(x) for x in row] for row in lattice.gram]
+
+
+def form_to_json(form: BinaryEvenForm) -> list[list[str]]:
+    """gram_to_json(form.gram()), without building the lattice."""
+    b = str(form.b)
+    return [[str(2 * form.a), b], [b, str(2 * form.c)]]
 
 
 def parse_fiber_token(value: Any, where: str) -> Any:
@@ -207,7 +214,7 @@ def parse_exclusion_fact(obj: Any, where: str) -> ExclusionFact:
 def exclusion_fact_to_json(fact: ExclusionFact) -> dict:
     out: dict[str, Any] = {"kind": fact.kind}
     if fact.form is not None:
-        out["form"] = gram_to_json(fact.form.gram())
+        out["form"] = form_to_json(fact.form)
     if fact.fibers is not None:
         out["fibers"] = list(fact.fibers)
     out["provenance"] = fact.provenance

@@ -281,19 +281,25 @@ class FrozenRecord:
     class: a plain tuple never equals a record.  The hash is that of the
     field tuple, the repr is `Name(field=value, ...)`, and assigning or
     deleting an attribute raises AttributeError.  A subclass lists its
-    two or more fields in __slots__ and sets them in __init__ with
-    object.__setattr__.
+    fields in __slots__ and sets each in its own __init__ with
+    object.__setattr__: records built by the hundred per run, such as
+    `transcendental.ClassVerdict`, pay for no loop over the field names.
 
     Written out because @dataclass builds its methods through exec and
-    importing dataclasses loads inspect: the lattice and fiber commands,
-    whose run takes milliseconds, load neither.
+    importing dataclasses loads inspect: no command loads either, and a
+    command's run takes milliseconds.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._values = property(attrgetter(*cls.__slots__))  # the field tuple
+        values = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            # attrgetter of a single name returns the bare value.
+            cls._values = property(lambda self: (values(self),))
+        else:
+            cls._values = property(values)  # the field tuple
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -8,10 +8,10 @@ the exact bookkeeping on top of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .kodaira import fiber_profile
+from .lattice import FrozenRecord
 from .surfaces import SurfaceConfig
 
 
@@ -19,12 +19,18 @@ class PicardTooSmallError(ValueError):
     """rho is smaller than the rank of the trivial lattice."""
 
 
-@dataclass(frozen=True)
-class ShiodaTateResult:
-    rho: int
-    trivial_rank: int  # 2 + sum over fibers of (components - 1)
-    mw_rank: int
-    trivial_disc: int  # product of |det| of the fiber root lattices
+class ShiodaTateResult(FrozenRecord):
+    """trivial_rank is 2 + the sum over fibers of (components - 1);
+    trivial_disc is the product of |det| of the fiber root lattices."""
+
+    __slots__ = ("rho", "trivial_rank", "mw_rank", "trivial_disc")
+
+    def __init__(self, rho: int, trivial_rank: int, mw_rank: int, trivial_disc: int) -> None:
+        set_field = object.__setattr__
+        set_field(self, "rho", rho)
+        set_field(self, "trivial_rank", trivial_rank)
+        set_field(self, "mw_rank", mw_rank)
+        set_field(self, "trivial_disc", trivial_disc)
 
 
 def _trivial_summands(config: SurfaceConfig) -> tuple[int, int, int]:
@@ -99,13 +105,19 @@ def mwl_denominator_bound(config: SurfaceConfig, r: int) -> int:
     return _trivial_summands(config)[2] ** r
 
 
-@dataclass(frozen=True)
-class DiscConsistency:
-    consistent: bool
-    mw_rank: int
-    mwl_disc: Fraction
-    denominator_bound: int
-    reason: str | None
+class DiscConsistency(FrozenRecord):
+    __slots__ = ("consistent", "mw_rank", "mwl_disc", "denominator_bound", "reason")
+
+    def __init__(
+        self, consistent: bool, mw_rank: int, mwl_disc: Fraction, denominator_bound: int,
+        reason: str | None,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "consistent", consistent)
+        set_field(self, "mw_rank", mw_rank)
+        set_field(self, "mwl_disc", mwl_disc)
+        set_field(self, "denominator_bound", denominator_bound)
+        set_field(self, "reason", reason)
 
 
 def check_disc_consistency(

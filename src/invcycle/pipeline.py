@@ -19,7 +19,6 @@ the published fiber tables, 'trivial' for bookkeeping identities,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -31,6 +30,7 @@ from .jsonio import (
     SchemaError,
     dumps_canonical,
     exclusion_fact_to_json,
+    form_to_json,
     gram_to_json,
     load_json,
     parse_assumptions,
@@ -39,7 +39,7 @@ from .jsonio import (
     surface_config_to_json,
 )
 from .kodaira import is_star
-from .lattice import MAX_CLASS_DISC, NotPerfectSquareRatioError
+from .lattice import MAX_CLASS_DISC, FrozenRecord, NotPerfectSquareRatioError
 from .mordell_weil import check_disc_consistency, shioda_tate
 from .surfaces import (
     BaseChangeResult,
@@ -84,19 +84,36 @@ def tagged(value: Any, tag: str) -> dict:
     return {"tag": tag, "value": value}
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(FrozenRecord):
     """The seed, its covering stages, and the parsed assumptions by role."""
 
-    seed: SurfaceConfig
-    assumptions: tuple[Assumption, ...]
-    stages: tuple[tuple[str, BranchSpec], ...]
-    flags: frozenset[str]
-    seed_lattice: Assumption | None
-    shioda_inose: Assumption | None
-    stage_lattices: dict[str, Assumption]
-    torsion: dict[str, Assumption]
-    facts: tuple[ExclusionFact, ...]
+    __slots__ = (
+        "seed", "assumptions", "stages", "flags", "seed_lattice", "shioda_inose",
+        "stage_lattices", "torsion", "facts",
+    )
+
+    def __init__(
+        self,
+        seed: SurfaceConfig,
+        assumptions: tuple[Assumption, ...],
+        stages: tuple[tuple[str, BranchSpec], ...],
+        flags: frozenset[str],
+        seed_lattice: Assumption | None,
+        shioda_inose: Assumption | None,
+        stage_lattices: dict[str, Assumption],
+        torsion: dict[str, Assumption],
+        facts: tuple[ExclusionFact, ...],
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "seed", seed)
+        set_field(self, "assumptions", assumptions)
+        set_field(self, "stages", stages)
+        set_field(self, "flags", flags)
+        set_field(self, "seed_lattice", seed_lattice)
+        set_field(self, "shioda_inose", shioda_inose)
+        set_field(self, "stage_lattices", stage_lattices)
+        set_field(self, "torsion", torsion)
+        set_field(self, "facts", facts)
 
 
 def build_pipeline_spec(
@@ -137,16 +154,18 @@ def build_pipeline_spec(
     )
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(FrozenRecord):
     """Why a run is conditional, with the note the report shows for it.
 
     A reason without a note still makes the run conditional; a reason
     that is not conditional only adds its note.
     """
 
-    note: str | None
-    conditional: bool = True
+    __slots__ = ("note", "conditional")
+
+    def __init__(self, note: str | None, conditional: bool = True) -> None:
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "conditional", conditional)
 
 
 # Stage name -> (its central discriminants, where they come from).
@@ -205,7 +224,7 @@ def _resolution_json(resolution: DiscResolution) -> dict:
     for cand in resolution.certificate:
         classes = []
         for cv in cand.classes:
-            entry: dict[str, Any] = {"form": gram_to_json(cv.form.gram())}
+            entry: dict[str, Any] = {"form": form_to_json(cv.form)}
             if cv.excluded_by is not None:
                 entry["excluded_by"] = cv.excluded_by
                 entry["fact_kind"] = cv.fact_kind
@@ -229,7 +248,7 @@ def _resolution_json(resolution: DiscResolution) -> dict:
         out["alpha"] = tagged(resolution.alpha, "derived")
     form = resolution.surviving_form
     if form is not None:
-        out["surviving_form"] = gram_to_json(form.gram())
+        out["surviving_form"] = form_to_json(form)
     return out
 
 
@@ -245,7 +264,7 @@ def _rigidity_json(cert: RigidityCertificate) -> dict:
     }
     if cert.witness is not None:
         out["witness"] = gram_to_json(cert.witness)
-        out["witness_reduced"] = gram_to_json(cert.witness_reduced.gram())
+        out["witness_reduced"] = form_to_json(cert.witness_reduced)
     return out
 
 

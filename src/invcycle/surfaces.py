@@ -8,8 +8,6 @@ point, including the Euler defect contributed by star fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kodaira import (
     KodairaFiber,
     base_change_source,
@@ -18,6 +16,7 @@ from .kodaira import (
     is_star,
     quadratic_base_change_fiber,
 )
+from .lattice import FrozenRecord
 
 
 class SurfaceError(ValueError):
@@ -40,20 +39,23 @@ class UnknownLabelError(BranchError):
     """A branch label does not name a fiber and fresh points are disallowed."""
 
 
-@dataclass(frozen=True)
-class SurfaceConfig:
+class SurfaceConfig(FrozenRecord):
     """Genus of the base curve plus the labelled singular fibers."""
 
-    name: str
-    base_genus: int
-    fibers: tuple[tuple[str, KodairaFiber], ...]
+    __slots__ = ("name", "base_genus", "fibers")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base_genus, int) or self.base_genus < 0:
+    def __init__(
+        self, name: str, base_genus: int, fibers: tuple[tuple[str, KodairaFiber], ...]
+    ) -> None:
+        if not isinstance(base_genus, int) or base_genus < 0:
             raise SurfaceError("base genus must be a nonnegative integer")
-        labels = [label for label, _ in self.fibers]
+        labels = [label for label, _ in fibers]
         if len(set(labels)) != len(labels):
             raise SurfaceError("fiber labels must be distinct")
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "base_genus", base_genus)
+        set_field(self, "fibers", fibers)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.fibers)
@@ -66,17 +68,25 @@ class SurfaceConfig:
         return tuple(sorted(f.token for _, f in self.fibers))
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    e: int
-    d: int
-    p_g: int
-    q: int
-    b1: int
-    b2: int
-    h11: int
-    kind: str
-    extrapolated: bool  # formulas stretched outside their usual range (d = 0)
+class SurfaceInvariants(FrozenRecord):
+    """extrapolated: the formulas are stretched outside their usual range (d = 0)."""
+
+    __slots__ = ("e", "d", "p_g", "q", "b1", "b2", "h11", "kind", "extrapolated")
+
+    def __init__(
+        self, e: int, d: int, p_g: int, q: int, b1: int, b2: int, h11: int, kind: str,
+        extrapolated: bool,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "e", e)
+        set_field(self, "d", d)
+        set_field(self, "p_g", p_g)
+        set_field(self, "q", q)
+        set_field(self, "b1", b1)
+        set_field(self, "b2", b2)
+        set_field(self, "h11", h11)
+        set_field(self, "kind", kind)
+        set_field(self, "extrapolated", extrapolated)
 
 
 def invariants(config: SurfaceConfig) -> SurfaceInvariants:
@@ -106,44 +116,73 @@ def invariants(config: SurfaceConfig) -> SurfaceInvariants:
     )
 
 
-@dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(FrozenRecord):
     """Even-cardinality set of branch point labels for a double cover."""
 
-    labels: frozenset[str]
+    __slots__ = ("labels",)
 
-    def __post_init__(self) -> None:
-        if len(self.labels) % 2 != 0:
+    def __init__(self, labels: frozenset[str]) -> None:
+        if len(labels) % 2 != 0:
             raise OddBranchCountError(
-                f"branch locus has {len(self.labels)} points; an even count is required"
+                f"branch locus has {len(labels)} points; an even count is required"
             )
+        object.__setattr__(self, "labels", labels)
 
     def sorted_labels(self) -> tuple[str, ...]:
         return tuple(sorted(self.labels))
 
 
-@dataclass(frozen=True)
-class BranchPointRecord:
-    """One row of the base-change log."""
+class BranchPointRecord(FrozenRecord):
+    """One row of the base-change log.
 
-    label: str
-    source_token: str | None  # None for a fresh smooth branch point
-    branched: bool
-    star: bool | None
-    images: tuple[tuple[str, str], ...]  # (new label, fiber token)
-    delta: int
-    table_source: str  # 'paper' | 'derived' | 'trivial'
+    source_token is None for a fresh smooth branch point; images are
+    (new label, fiber token) pairs; table_source is 'paper', 'derived'
+    or 'trivial'.
+    """
+
+    __slots__ = ("label", "source_token", "branched", "star", "images", "delta", "table_source")
+
+    def __init__(
+        self,
+        label: str,
+        source_token: str | None,
+        branched: bool,
+        star: bool | None,
+        images: tuple[tuple[str, str], ...],
+        delta: int,
+        table_source: str,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "label", label)
+        set_field(self, "source_token", source_token)
+        set_field(self, "branched", branched)
+        set_field(self, "star", star)
+        set_field(self, "images", images)
+        set_field(self, "delta", delta)
+        set_field(self, "table_source", table_source)
 
 
-@dataclass(frozen=True)
-class BaseChangeResult:
-    config: SurfaceConfig
-    delta: int
-    euler_before: int
-    euler_after: int
-    d_before: int | None
-    d_after: int | None
-    log: tuple[BranchPointRecord, ...]
+class BaseChangeResult(FrozenRecord):
+    __slots__ = ("config", "delta", "euler_before", "euler_after", "d_before", "d_after", "log")
+
+    def __init__(
+        self,
+        config: SurfaceConfig,
+        delta: int,
+        euler_before: int,
+        euler_after: int,
+        d_before: int | None,
+        d_after: int | None,
+        log: tuple[BranchPointRecord, ...],
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "config", config)
+        set_field(self, "delta", delta)
+        set_field(self, "euler_before", euler_before)
+        set_field(self, "euler_after", euler_after)
+        set_field(self, "d_before", d_before)
+        set_field(self, "d_after", d_after)
+        set_field(self, "log", log)
 
 
 def quadratic_base_change(

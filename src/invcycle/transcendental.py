@@ -11,10 +11,10 @@ cycle lifting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .lattice import (
     BinaryEvenForm,
+    FrozenRecord,
     GramLattice,
     NotDivisibleError,
     NotEvenError,
@@ -41,8 +41,7 @@ class NothingSurvivesError(ValueError):
     """Every discriminant candidate was excluded; the fact set is inconsistent."""
 
 
-@dataclass(frozen=True)
-class ExclusionFact:
+class ExclusionFact(FrozenRecord):
     """An externally certified exclusion, quoted with its provenance.
 
     kind 'not_isomorphic_to': the lattice cannot be isometric to `form`.
@@ -52,21 +51,29 @@ class ExclusionFact:
     denominator bound (no payload beyond the provenance).
     """
 
-    kind: str
-    form: BinaryEvenForm | None
-    fibers: tuple[str, ...] | None
-    provenance: str
+    __slots__ = ("kind", "form", "fibers", "provenance")
 
-    def __post_init__(self) -> None:
-        if self.kind not in FACT_KINDS:
-            raise ValueError(f"unknown exclusion fact kind {self.kind!r}")
-        if not self.provenance or not self.provenance.strip():
+    def __init__(
+        self,
+        kind: str,
+        form: BinaryEvenForm | None,
+        fibers: tuple[str, ...] | None,
+        provenance: str,
+    ) -> None:
+        if kind not in FACT_KINDS:
+            raise ValueError(f"unknown exclusion fact kind {kind!r}")
+        if not provenance or not provenance.strip():
             raise ValueError("exclusion facts require a nonempty provenance string")
-        if self.kind in ("not_isomorphic_to", "no_fibration_with_fibers"):
-            if self.form is None:
-                raise ValueError(f"{self.kind} fact requires a form")
-        if self.kind == "no_fibration_with_fibers" and self.fibers is None:
+        if kind in ("not_isomorphic_to", "no_fibration_with_fibers"):
+            if form is None:
+                raise ValueError(f"{kind} fact requires a form")
+        if kind == "no_fibration_with_fibers" and fibers is None:
             raise ValueError("no_fibration_with_fibers fact requires a fiber list")
+        set_field = object.__setattr__
+        set_field(self, "kind", kind)
+        set_field(self, "form", form)
+        set_field(self, "fibers", fibers)
+        set_field(self, "provenance", provenance)
 
 
 def double_cover_disc_candidates(disc_tx: int, rank: int) -> list[tuple[int, int]]:
@@ -86,26 +93,45 @@ def double_cover_disc_candidates(disc_tx: int, rank: int) -> list[tuple[int, int
     return [(alpha, disc_tx * 4**alpha // 4) for alpha in range(rank + 1)]
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
-    form: BinaryEvenForm
-    excluded_by: str | None  # provenance of the matching fact
-    fact_kind: str | None
+class ClassVerdict(FrozenRecord):
+    """excluded_by is the provenance of the matching fact."""
+
+    __slots__ = ("form", "excluded_by", "fact_kind")
+
+    def __init__(self, form: BinaryEvenForm, excluded_by: str | None, fact_kind: str | None) -> None:
+        set_field = object.__setattr__
+        set_field(self, "form", form)
+        set_field(self, "excluded_by", excluded_by)
+        set_field(self, "fact_kind", fact_kind)
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
-    alpha: int
-    disc: int
-    excluded: bool
-    reason: str | None  # candidate-level exclusions (bounds, empty genus)
-    classes: tuple[ClassVerdict, ...]
+class CandidateVerdict(FrozenRecord):
+    """reason states a candidate-level exclusion (bounds, empty genus)."""
+
+    __slots__ = ("alpha", "disc", "excluded", "reason", "classes")
+
+    def __init__(
+        self, alpha: int, disc: int, excluded: bool, reason: str | None,
+        classes: tuple[ClassVerdict, ...],
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "alpha", alpha)
+        set_field(self, "disc", disc)
+        set_field(self, "excluded", excluded)
+        set_field(self, "reason", reason)
+        set_field(self, "classes", classes)
 
 
-@dataclass(frozen=True)
-class DiscResolution:
-    certificate: tuple[CandidateVerdict, ...]
-    surviving: tuple[tuple[int, int], ...]  # (alpha, disc) pairs
+class DiscResolution(FrozenRecord):
+    """surviving holds the (alpha, disc) pairs of the surviving candidates."""
+
+    __slots__ = ("certificate", "surviving")
+
+    def __init__(
+        self, certificate: tuple[CandidateVerdict, ...], surviving: tuple[tuple[int, int], ...]
+    ) -> None:
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "surviving", surviving)
 
     @property
     def resolved(self) -> bool:
@@ -209,22 +235,66 @@ def resolve_disc(
     return DiscResolution(certificate=tuple(certificate), surviving=tuple(surviving))
 
 
-@dataclass(frozen=True)
-class RigidityCheck:
-    index: int
-    status: str  # 'determinant-excluded' | 'enumerated-empty' | 'found'
-    detail: str
+def square_divisor_primes(n: int) -> dict[int, int]:
+    """The largest m with m^2 | n, as its prime factorization {p: k}.
+
+    The keys are the primes p with p^2 | n.  Trial division stops once
+    p^3 exceeds what is left of n, so it runs up to n^(1/3); the cofactor
+    then has at most two prime factors, and contributes q exactly when
+    it equals q^2.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
+    factors = {}
+    p = 2
+    while p * p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e > 1:
+                factors[p] = e // 2
+        p += 1 if p == 2 else 2
+    q = math.isqrt(n)
+    if q > 1 and q * q == n:
+        factors[q] = 1
+    return factors
 
 
-@dataclass(frozen=True)
-class RigidityCertificate:
-    lattice: GramLattice
-    index_bound: int
-    rigid: bool
-    checks: tuple[RigidityCheck, ...]
-    witness: GramLattice | None
-    witness_reduced: BinaryEvenForm | None
-    conclusion: str
+class RigidityCheck(FrozenRecord):
+    """status is 'determinant-excluded', 'enumerated-empty' or 'found'."""
+
+    __slots__ = ("index", "status", "detail")
+
+    def __init__(self, index: int, status: str, detail: str) -> None:
+        set_field = object.__setattr__
+        set_field(self, "index", index)
+        set_field(self, "status", status)
+        set_field(self, "detail", detail)
+
+
+class RigidityCertificate(FrozenRecord):
+    __slots__ = ("lattice", "index_bound", "rigid", "checks", "witness", "witness_reduced", "conclusion")
+
+    def __init__(
+        self,
+        lattice: GramLattice,
+        index_bound: int,
+        rigid: bool,
+        checks: tuple[RigidityCheck, ...],
+        witness: GramLattice | None,
+        witness_reduced: BinaryEvenForm | None,
+        conclusion: str,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "lattice", lattice)
+        set_field(self, "index_bound", index_bound)
+        set_field(self, "rigid", rigid)
+        set_field(self, "checks", checks)
+        set_field(self, "witness", witness)
+        set_field(self, "witness_reduced", witness_reduced)
+        set_field(self, "conclusion", conclusion)
 
 
 def rigidity_transfer(lattice: GramLattice, index_bound: int = 10) -> RigidityCertificate:
@@ -264,14 +334,13 @@ def rigidity_transfer(lattice: GramLattice, index_bound: int = 10) -> RigidityCe
                 RigidityCheck(m, "enumerated-empty", f"no even overlattice of index {m}")
             )
     rigid = witness is None
-    max_possible = max(
-        (m for m in range(2, math.isqrt(disc) + 1) if disc % (m * m) == 0), default=1
-    )
-    if rigid and max_possible > index_bound:
-        raise ValueError(
-            f"index bound {index_bound} does not cover all determinant-admissible "
-            f"indices up to {max_possible}"
-        )
+    if rigid:
+        max_possible = math.prod(p**k for p, k in square_divisor_primes(disc).items())
+        if max_possible > index_bound:
+            raise ValueError(
+                f"index bound {index_bound} does not cover all determinant-admissible "
+                f"indices up to {max_possible}"
+            )
     conclusion = (
         "no proper even overlattice exists; any even finite-index overlattice is the lattice itself"
         if rigid
@@ -293,10 +362,12 @@ def shioda_inose_unscale(lattice: GramLattice) -> GramLattice:
     return lattice.unscale(2)
 
 
-@dataclass(frozen=True)
-class SpecializationResult:
-    index: int
-    verdict: str
+class SpecializationResult(FrozenRecord):
+    __slots__ = ("index", "verdict")
+
+    def __init__(self, index: int, verdict: str) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def specialization_index(disc_central: int, disc_nearby: int) -> SpecializationResult:

@@ -250,3 +250,10 @@ def even_posdef_binary_scan(disc):
                 out.append((a, b, num // four_a))
         a += 1
     return out
+
+
+def max_square_divisor_root_scan(disc):
+    """The largest m with m^2 | disc, trying every m up to isqrt(disc):
+    O(sqrt(disc)) steps and no factoring, the reference for
+    `transcendental.square_divisor_primes`."""
+    return max((m for m in range(2, math.isqrt(disc) + 1) if disc % (m * m) == 0), default=1)

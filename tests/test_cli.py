@@ -247,19 +247,24 @@ class TestInProcess:
         assert "3199999999984" in err
 
 
+def main_error(capsys, argv):
+    """Run cli.main in process; it must exit 1 with one `error:` line."""
+    from invcycle import cli
+
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
 class TestPythonLimits:
     """Documents past Python's JSON nesting or int/str digit limits end in
     one `error:` line naming the argument or file, run in process."""
 
     def run_main(self, capsys, argv):
-        from invcycle import cli
-
-        code = cli.main(argv)
-        out, err = capsys.readouterr()
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-        return err
+        return main_error(capsys, argv)
 
     def test_deep_config(self, tmp_path, capsys):
         args = list(example1_args(tmp_path, lambda entries: None))
@@ -290,6 +295,24 @@ class TestPythonLimits:
         args[args.index("--config") + 1] = str(big)
         err = self.run_main(capsys, ["custom", *args])
         assert err.startswith(f"error: {big}: Exceeds the limit (4300 digits)")
+
+
+class TestNonAsciiDigits:
+    """Gram entries take ASCII digits only, as the schema's ^[+-]?[0-9]+$
+    says; str.isdigit() and int() would also read, say, Arabic-Indic ones."""
+
+    @pytest.mark.parametrize("entry", ["\u0664", "-\u0664", "4\u0664", "\uff14", "\u00b2"])
+    def test_gram_argument(self, capsys, entry):
+        gram = json.dumps([[entry, 2], [2, "4"]])
+        err = main_error(capsys, ["lattice", "reduce", "--gram", gram])
+        assert err == f"error: --gram[0][0]: {entry!r} is not a decimal integer string\n"
+
+    def test_seed_lattice_in_assumptions_file(self, tmp_path, capsys):
+        def edit(entries):
+            first(entries, "seed_transcendental_lattice")["payload"]["gram"] = [["4", "2"], ["2", "\u0664"]]
+
+        err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
+        assert err == "error: assumptions[3].payload.gram[1][1]: '\u0664' is not a decimal integer string\n"
 
 
 class TestFiberCommand:

@@ -1,8 +1,8 @@
 """What each subcommand loads, and the lazy package namespace.
 
 The lattice and fiber commands load `cli`, `jsonio`, `lattice` and
-`kodaira` only: no pipeline module, and neither `dataclasses` nor
-`inspect`, whose import and exec-built classes used to be most of their
+`kodaira` only, no pipeline module.  No command loads `dataclasses` or
+`inspect`, whose import and exec-built classes used to be most of the
 start-up.  Each case runs in a fresh interpreter, because this test
 session has loaded everything already.
 """
@@ -58,8 +58,24 @@ def test_kernel_commands_load_no_pipeline(argv):
     assert "inspect" not in modules
 
 
+EXAMPLE1 = SRC / "invcycle" / "data" / "example1"
+
+
 def test_report_command_loads_the_pipeline():
-    assert PIPELINE_MODULES <= loaded_by("example", "1", "--json")
+    modules = loaded_by("example", "1", "--json")
+    assert PIPELINE_MODULES <= modules
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
+
+
+def test_custom_command_loads_no_dataclasses():
+    modules = loaded_by(
+        "custom", "--config", str(EXAMPLE1 / "config.json"), "--branch", str(EXAMPLE1 / "branch.json"),
+        "--assumptions", str(EXAMPLE1 / "assumptions.json"),
+    )
+    assert PIPELINE_MODULES <= modules
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
 
 
 def test_every_export_resolves():

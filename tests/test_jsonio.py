@@ -18,6 +18,7 @@ from invcycle.jsonio import (
     branch_spec_to_json,
     dumps_canonical,
     exclusion_fact_to_json,
+    form_to_json,
     gram_to_json,
     load_json,
     parse_assumptions,
@@ -28,7 +29,7 @@ from invcycle.jsonio import (
     parse_surface_config,
     surface_config_to_json,
 )
-from invcycle.lattice import GramLattice
+from invcycle.lattice import BinaryEvenForm, GramLattice
 from invcycle.pipeline import run_example
 
 
@@ -77,6 +78,12 @@ class TestIntEntries:
         with pytest.raises(InputError):
             parse_int_entry(raw, "x")
 
+    @pytest.mark.parametrize("raw", ["\u0664", "+\u0661\u0662", "1\u0662", "\uff14", "\u00b2", "\u0966"])
+    def test_non_ascii_digits_rejected(self, raw):
+        with pytest.raises(ParseError) as exc:
+            parse_int_entry(raw, "--gram[0][0]")
+        assert str(exc.value) == f"--gram[0][0]: {raw!r} is not a decimal integer string"
+
     def test_huge_entry_survives(self):
         big = 10**40
         assert parse_int_entry(str(big), "x") == big
@@ -97,6 +104,12 @@ class TestIntEntries:
 
 
 class TestGram:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-10**30, max_value=10**30), st.integers(), st.integers())
+    def test_form_renders_as_its_gram(self, a, b, c):
+        form = BinaryEvenForm(a, b, c)
+        assert form_to_json(form) == gram_to_json(form.gram())
+
     def test_roundtrip(self):
         lat = GramLattice([[4, 2], [2, 4]])
         encoded = gram_to_json(lat)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcycle import jsonio
+from invcycle import jsonio, lattice
 from invcycle.jsonio import SchemaError, parse_branch_spec, parse_surface_config
 from invcycle.kodaira import euler_number, fiber
 from invcycle.pipeline import (
@@ -499,3 +499,53 @@ class TestParseOnce:
         with pytest.raises(SchemaError) as exc:
             run_custom(*write_docs(tmp_path, config, branch, assumptions))
         assert str(exc.value).startswith(f"assumptions[{len(entries) - 1}]: ")
+
+
+class TestRenderingBuildsNoLattice:
+    """Each class form in a resolution certificate is rendered from its
+    coefficients, so the number of Gram lattices a run builds does not
+    grow with the number of classes it lists."""
+
+    @staticmethod
+    def spec(c):
+        # The quotient lattice [[2, 1], [1, 2c]] has the squarefree disc
+        # 4c - 1 for both values of c below, so rigidity enumerates nothing.
+        config, branch, _assumptions = docs("example1")
+        entries = [
+            {"name": "picard_maximal", "provenance": "p"},
+            {"name": "seed_transcendental_lattice", "payload": {"gram": [[4, 2], [2, 4 * c]]}, "provenance": "p"},
+            {"name": "shioda_inose_cover", "payload": {"stage": "Y0"}, "provenance": "p"},
+        ]
+        return build_pipeline_spec(
+            parse_surface_config(config),
+            parse_branch_spec(branch),
+            jsonio.parse_assumptions({"assumptions": entries}),
+        )
+
+    @staticmethod
+    def class_count(report):
+        return sum(
+            len(cand["classes"])
+            for item in report["analysis"]["resolutions"]
+            for cand in item["resolution"]["certificate"]
+        )
+
+    def test_constructions_do_not_grow_with_the_class_count(self, monkeypatch):
+        built = []
+        original = lattice.GramLattice.__init__
+
+        def counted(self, rows):
+            built.append(1)
+            original(self, rows)
+
+        runs = {}
+        for c in (1, 1000):
+            spec = self.spec(c)
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(lattice.GramLattice, "__init__", counted)
+                report = run_pipeline(spec)
+            runs[c] = (self.class_count(report), len(built))
+        (few, small_built), (many, large_built) = runs[1], runs[1000]
+        assert many > 10 * few
+        assert large_built == small_built, runs

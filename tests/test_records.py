@@ -1,11 +1,14 @@
-"""The immutable value classes that the lattice and fiber commands load.
+"""The immutable value classes, all `lattice.FrozenRecord` subclasses.
 
-`BinaryEvenForm`, `KodairaFiber`, `FiberProfile` and `Assumption` behave
-as frozen dataclasses do: field-wise equality with instances of the same
-class only (never with a plain tuple), the hash of the field tuple,
-`Name(field=value, ...)` reprs, and no assignment after construction.
-`BinaryEvenForm` also orders by its field tuple.  The repr is part of
-user-visible error text.
+`BinaryEvenForm`, `KodairaFiber`, `FiberProfile` and `Assumption`, which
+the lattice and fiber commands load, and the sixteen records of the
+pipeline modules behave as frozen dataclasses do: field-wise equality
+with instances of the same class only (never with a plain tuple), the
+hash of the field tuple, `Name(field=value, ...)` reprs, and no
+assignment after construction.  `BinaryEvenForm` also orders by its
+field tuple; the others do not order.  The repr is part of user-visible
+error text.  The pipeline records' tests were written against the frozen
+dataclasses they replace, and passed there.
 """
 
 import copy
@@ -13,9 +16,33 @@ import pickle
 
 import pytest
 
-from invcycle.jsonio import Assumption
+from invcycle.jsonio import Assumption, parse_assumptions
 from invcycle.kodaira import FiberProfile, KodairaFiber, fiber, fiber_profile
-from invcycle.lattice import BinaryEvenForm, NotPositiveDefiniteError, reduce_binary
+from invcycle.lattice import BinaryEvenForm, GramLattice, NotPositiveDefiniteError, reduce_binary
+from invcycle.mordell_weil import DiscConsistency, ShiodaTateResult, check_disc_consistency, shioda_tate
+from invcycle.pipeline import PipelineSpec, Reason, build_pipeline_spec
+from invcycle.surfaces import (
+    BaseChangeResult,
+    BranchPointRecord,
+    BranchSpec,
+    OddBranchCountError,
+    SurfaceConfig,
+    SurfaceError,
+    SurfaceInvariants,
+    invariants,
+    quadratic_base_change,
+)
+from invcycle.transcendental import (
+    CandidateVerdict,
+    ClassVerdict,
+    DiscResolution,
+    ExclusionFact,
+    RigidityCertificate,
+    RigidityCheck,
+    SpecializationResult,
+    rigidity_transfer,
+    specialization_index,
+)
 
 PROFILE_I5 = (5, 5, "A", 4, 5, None, frozenset({1, 5}))
 FIRST_FIELD = {BinaryEvenForm: "a", KodairaFiber: "kind", FiberProfile: "euler", Assumption: "name"}
@@ -153,3 +180,202 @@ def test_missing_and_unknown_arguments():
         BinaryEvenForm(1, 0, 1, d=2)
     with pytest.raises(TypeError):
         Assumption("picard_maximal", {})
+
+
+# The sixteen records that only the pipeline commands load.  They behave
+# as frozen dataclasses without ordering do; FIELDS pins each field order,
+# which the repr, the hash and positional construction follow.
+
+SEED = SurfaceConfig("seed", 0, (("0", fiber("II*")), ("1", fiber("IV*")), ("2", fiber("I0*"))))
+BRANCH = BranchSpec(frozenset({"0", "1"}))
+FAMILY = BranchSpec(frozenset({"0", "1", "2", "t"}))
+A2 = BinaryEvenForm(1, 1, 1)
+
+FIELDS = {
+    PipelineSpec: (
+        "seed", "assumptions", "stages", "flags", "seed_lattice", "shioda_inose",
+        "stage_lattices", "torsion", "facts",
+    ),
+    Reason: ("note", "conditional"),
+    SurfaceConfig: ("name", "base_genus", "fibers"),
+    SurfaceInvariants: ("e", "d", "p_g", "q", "b1", "b2", "h11", "kind", "extrapolated"),
+    BranchSpec: ("labels",),
+    BranchPointRecord: ("label", "source_token", "branched", "star", "images", "delta", "table_source"),
+    BaseChangeResult: ("config", "delta", "euler_before", "euler_after", "d_before", "d_after", "log"),
+    ExclusionFact: ("kind", "form", "fibers", "provenance"),
+    ClassVerdict: ("form", "excluded_by", "fact_kind"),
+    CandidateVerdict: ("alpha", "disc", "excluded", "reason", "classes"),
+    DiscResolution: ("certificate", "surviving"),
+    RigidityCheck: ("index", "status", "detail"),
+    RigidityCertificate: (
+        "lattice", "index_bound", "rigid", "checks", "witness", "witness_reduced", "conclusion",
+    ),
+    SpecializationResult: ("index", "verdict"),
+    ShiodaTateResult: ("rho", "trivial_rank", "mw_rank", "trivial_disc"),
+    DiscConsistency: ("consistent", "mw_rank", "mwl_disc", "denominator_bound", "reason"),
+}
+
+
+def field_tuple(record):
+    return tuple(getattr(record, name) for name in FIELDS[type(record)])
+
+
+def by_keyword(record):
+    return type(record)(**dict(zip(FIELDS[type(record)], field_tuple(record))))
+
+
+def pipeline_records():
+    """(record, a different record of the same class) for each class, built
+    by the functions that build them in a run where there is one."""
+    spec = build_pipeline_spec(SEED, BRANCH, parse_assumptions({"assumptions": [
+        {"name": "picard_maximal", "provenance": "p"},
+        {"name": "torsion_order", "payload": {"stage": "X", "order": 1}, "provenance": "p"},
+    ]}))
+    bc = quadratic_base_change(SEED, BRANCH)
+    fact = ExclusionFact("not_isomorphic_to", A2, None, "p")
+    verdict = ClassVerdict(A2, "p", "not_isomorphic_to")
+    candidate = CandidateVerdict(0, 3, True, None, (verdict,))
+    rigid = rigidity_transfer(GramLattice([[2, 1], [1, 2]]))
+    check = check_disc_consistency(SEED, 12, 20, 1)
+    return [
+        (spec, build_pipeline_spec(SEED, BRANCH, ())),
+        (Reason("n"), Reason("n", conditional=False)),
+        (SEED, SurfaceConfig("other", 0, SEED.fibers)),
+        (invariants(SEED), invariants(quadratic_base_change(SEED, FAMILY).config)),
+        (BRANCH, BranchSpec(frozenset({"0", "2"}))),
+        (bc.log[0], bc.log[2]),
+        (bc, quadratic_base_change(SEED, BranchSpec(frozenset({"0", "2"})))),
+        (fact, ExclusionFact("not_isomorphic_to", A2, None, "q")),
+        (verdict, ClassVerdict(A2, None, None)),
+        (candidate, CandidateVerdict(0, 3, False, None, ())),
+        (DiscResolution((candidate,), ()), DiscResolution((candidate,), ((0, 3),))),
+        (rigid.checks[0], rigid.checks[1]),
+        (rigid, rigidity_transfer(GramLattice([[4, 0], [0, 4]]))),
+        (specialization_index(12, 3), specialization_index(3, 3)),
+        (shioda_tate(SEED, 20), shioda_tate(SEED, 21)),
+        (check, check_disc_consistency(SEED, 3, 20, 1)),
+    ]
+
+
+def test_every_pipeline_record_is_covered():
+    assert {type(record) for record, _other in pipeline_records()} == set(FIELDS)
+
+
+@pytest.mark.parametrize("record, other", pipeline_records(), ids=lambda r: type(r).__name__)
+def test_pipeline_record_equality(record, other):
+    again = by_keyword(record)
+    assert again is not record
+    assert record == again and not (record != again)
+    assert record != other and not (record == other)
+    assert record != field_tuple(record) and field_tuple(record) != record
+    assert record != object()
+    with pytest.raises(TypeError):
+        record < again
+
+
+@pytest.mark.parametrize("record, other", pipeline_records()[1:], ids=lambda r: type(r).__name__)
+def test_pipeline_record_hash_is_the_field_tuple_hash(record, other):
+    assert hash(record) == hash(by_keyword(record)) == hash(field_tuple(record))
+    assert len({record, by_keyword(record), other}) == 2
+
+
+def test_pipeline_spec_with_dicts_is_unhashable():
+    spec, _other = pipeline_records()[0]
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(spec)
+
+
+@pytest.mark.parametrize("record, other", pipeline_records(), ids=lambda r: type(r).__name__)
+def test_pipeline_record_repr(record, other):
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(FIELDS[type(record)], field_tuple(record)))
+    assert repr(record) == str(record) == f"{type(record).__qualname__}({fields})"
+
+
+def test_pipeline_record_repr_literals():
+    assert repr(Reason("n")) == "Reason(note='n', conditional=True)"
+    assert repr(BranchSpec(frozenset())) == "BranchSpec(labels=frozenset())"
+    assert repr(ClassVerdict(A2, "p", "not_isomorphic_to")) == (
+        "ClassVerdict(form=BinaryEvenForm(a=1, b=1, c=1), excluded_by='p', fact_kind='not_isomorphic_to')"
+    )
+    assert repr(specialization_index(12, 3)) == "SpecializationResult(index=2, verdict='LICT_fails')"
+    assert repr(check_disc_consistency(SEED, 12, 20, 1)) == (
+        "DiscConsistency(consistent=True, mw_rank=0, mwl_disc=Fraction(1, 1), denominator_bound=1, reason=None)"
+    )
+
+
+@pytest.mark.parametrize("record, other", pipeline_records(), ids=lambda r: type(r).__name__)
+def test_pipeline_record_assignment_and_deletion_raise(record, other):
+    name = FIELDS[type(record)][0]
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 0
+    assert getattr(record, name) is before
+
+
+@pytest.mark.parametrize("record, other", pipeline_records(), ids=lambda r: type(r).__name__)
+def test_pipeline_record_copy_and_pickle_round_trip(record, other):
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_reason_defaults_to_conditional():
+    assert Reason("n").conditional is True
+    assert Reason(note=None).conditional is True
+    assert Reason("n", False).conditional is False
+    assert Reason("n", conditional=False) == Reason("n", False)
+
+
+def test_disc_resolution_properties():
+    live = CandidateVerdict(1, 12, False, None, (ClassVerdict(A2, None, None),))
+    dead = CandidateVerdict(0, 3, True, None, (ClassVerdict(A2, "p", "not_isomorphic_to"),))
+    resolved = DiscResolution((dead, live), ((1, 12),))
+    assert (resolved.resolved, resolved.resolved_disc, resolved.alpha) == (True, 12, 1)
+    assert resolved.surviving_form == A2
+    two = CandidateVerdict(2, 48, False, None, (ClassVerdict(BinaryEvenForm(1, 0, 12), None, None),))
+    ambiguous = DiscResolution((live, two), ((1, 12), (2, 48)))
+    assert (ambiguous.resolved, ambiguous.resolved_disc, ambiguous.alpha) == (False, None, None)
+    assert ambiguous.surviving_form is None
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"base_genus": -1}, SurfaceError, "base genus must be a nonnegative integer"),
+    ({"base_genus": "0"}, SurfaceError, "base genus must be a nonnegative integer"),
+    ({"fibers": (("0", fiber("II*")), ("0", fiber("IV*")))}, SurfaceError, "fiber labels must be distinct"),
+])
+def test_surface_config_validation(kwargs, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        SurfaceConfig(**{"name": "s", "base_genus": 0, "fibers": (), **kwargs})
+
+
+def test_branch_spec_validation():
+    with pytest.raises(OddBranchCountError, match="^branch locus has 3 points; an even count is required$"):
+        BranchSpec(frozenset({"0", "1", "2"}))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("rumor", None, None, "p"), "unknown exclusion fact kind 'rumor'"),
+    (("denominator_bound", None, None, " "), "exclusion facts require a nonempty provenance string"),
+    (("denominator_bound", None, None, ""), "exclusion facts require a nonempty provenance string"),
+    (("not_isomorphic_to", None, None, "p"), "not_isomorphic_to fact requires a form"),
+    (("no_fibration_with_fibers", None, ("IV",), "p"), "no_fibration_with_fibers fact requires a form"),
+    (("no_fibration_with_fibers", A2, None, "p"), "no_fibration_with_fibers fact requires a fiber list"),
+])
+def test_exclusion_fact_validation(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExclusionFact(*args)
+
+
+def test_pipeline_records_missing_and_unknown_arguments():
+    with pytest.raises(TypeError):
+        Reason()
+    with pytest.raises(TypeError):
+        ClassVerdict(A2, None)
+    with pytest.raises(TypeError):
+        SpecializationResult(1, "v", extra=0)
+    with pytest.raises(TypeError):
+        BranchSpec()

@@ -1,6 +1,11 @@
 """Discriminant candidates, exclusion facts, rigidity, specialization."""
 
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invcycle.kodaira import fiber
 from invcycle.lattice import (
@@ -26,7 +31,9 @@ from invcycle.transcendental import (
     rigidity_transfer,
     shioda_inose_unscale,
     specialization_index,
+    square_divisor_primes,
 )
+from oracles import max_square_divisor_root_scan
 
 
 def config(tokens, genus=0):
@@ -327,6 +334,70 @@ class TestRigidity:
             rigidity_transfer(GramLattice([[2, 0], [0, -2]]))
         with pytest.raises(ValueError):
             rigidity_transfer(root_gram("A", 2), index_bound=1)
+
+
+def largest_square_root(n):
+    return math.prod(p**k for p, k in square_divisor_primes(n).items())
+
+
+# Small primes, primes on both sides of 10^(14/3) = 46415.9, and primes
+# whose squares come close to 10^10, 10^12 and 10^14.
+PRIME_POOL = (2, 3, 5, 7, 11, 13, 46399, 46411, 46439, 46441, 99991, 999983, 9999991)
+
+
+@st.composite
+def factored(draw, limit=10**14):
+    """(n, its prime factorization) with n <= limit, half the time p^2 * k."""
+    picks = draw(st.lists(st.sampled_from(PRIME_POOL), max_size=8))
+    if draw(st.booleans()):
+        square = draw(st.sampled_from(PRIME_POOL))
+        picks = [square, square, *picks]
+    n, exponents = 1, Counter()
+    for p in picks:
+        if n * p <= limit:
+            n *= p
+            exponents[p] += 1
+    return n, exponents
+
+
+class TestSquareDivisors:
+    """The largest index m with m^2 | disc, which rigidity must cover."""
+
+    def test_every_disc_up_to_1e5_matches_the_scan(self):
+        for n in range(1, 10**5 + 1):
+            assert largest_square_root(n) == max_square_divisor_root_scan(n), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(factored())
+    def test_matches_the_factorization_up_to_1e14(self, case):
+        n, exponents = case
+        got = square_divisor_primes(n)
+        assert got == {p: e // 2 for p, e in sorted(exponents.items()) if e > 1}
+        if n <= 10**9:
+            assert largest_square_root(n) == max_square_divisor_root_scan(n)
+
+    @pytest.mark.parametrize("n, expected", [
+        (1, {}),
+        (46441**2, {46441: 1}),  # cofactor q^2 with q just above n^(1/3)
+        (46439 * 46441, {}),  # two distinct primes left over
+        (2 * 46441**2, {46441: 1}),
+        (46441**3, {46441: 1}),  # found by trial division, not as the cofactor
+        (9999991**2, {9999991: 1}),
+        (2**46, {2: 23}),
+        (2 * 10**14 - 1, {}),  # disc of [[2, 1], [1, 10**14]]
+    ])
+    def test_cofactor_cases(self, n, expected):
+        assert square_divisor_primes(n) == expected
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            square_divisor_primes(0)
+
+    def test_large_disc_rigidity(self):
+        # 2 s with the scan up to isqrt(disc); now a trial division to disc^(1/3).
+        assert rigidity_transfer(GramLattice([[2, 1], [1, 10**14]])).rigid
+        with pytest.raises(ValueError, match="indices up to 9999991$"):
+            rigidity_transfer(GramLattice([[2, 1], [1, (3 * 9999991**2 + 1) // 2]]))
 
 
 class TestShiodaInose:
