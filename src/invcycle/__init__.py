@@ -26,13 +26,10 @@ _EXPORTS = {
         ("lattice", (
             "BinaryEvenForm", "GramLattice", "LatticeError", "NotDivisibleError", "NotEvenError",
             "NotPerfectSquareRatioError", "NotPositiveDefiniteError", "enumerate_even_overlattices",
-            "enumerate_even_posdef_binary", "is_isometric_binary", "reduce_binary", "root_gram",
+            "enumerate_even_posdef_binary", "reduce_binary", "root_gram",
             "smith_normal_form", "sublattice_index_from_discs",
         )),
-        ("mordell_weil", (
-            "PicardTooSmallError", "check_disc_consistency", "mw_rank", "mwl_denominator_bound",
-            "mwl_discriminant", "shioda_tate",
-        )),
+        ("mordell_weil", ("PicardTooSmallError", "check_disc_consistency", "shioda_tate")),
         ("surfaces", (
             "BranchSpec", "SurfaceConfig", "SurfaceError", "UnknownLabelError", "invariants",
             "quadratic_base_change",

@@ -26,6 +26,7 @@ from .jsonio import (
     parse_branch_spec,
     parse_gram,
     parse_surface_config,
+    surface_config_to_json,
 )
 
 
@@ -131,9 +132,7 @@ def _cmd_basechange(args) -> int:
     branch = parse_branch_spec(load_json(args.branch), "branch")
     result = quadratic_base_change(config, branch)
     doc = {
-        "name": result.config.name,
-        "base_genus": result.config.base_genus,
-        "fibers": [{"label": lab, "type": f.token} for lab, f in result.config.fibers],
+        **surface_config_to_json(result.config),
         "delta": result.delta,
         "euler_before": result.euler_before,
         "euler_after": result.euler_after,

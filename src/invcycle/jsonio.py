@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .kodaira import FiberTokenError, fiber
-from .lattice import BinaryEvenForm, FrozenRecord, GramLattice
+from .lattice import MAX_CLASS_DISC, BinaryEvenForm, FrozenRecord, GramLattice
 
 if TYPE_CHECKING:
     from .surfaces import BranchSpec, SurfaceConfig
@@ -178,10 +178,6 @@ def parse_branch_spec(obj: Any, where: str = "branch") -> BranchSpec:
         raise SchemaError(f"{where}.branch: {exc}") from exc
 
 
-def branch_spec_to_json(branch: BranchSpec) -> dict:
-    return {"branch": list(branch.sorted_labels())}
-
-
 def parse_exclusion_fact(obj: Any, where: str) -> ExclusionFact:
     from .transcendental import ExclusionFact
 
@@ -308,14 +304,25 @@ def _parse_payload(name: str, payload: dict, where: str) -> tuple[str | None, An
     value = None
     if "gram" in fields:
         value = parse_gram(_require(payload, "gram", list, where), f"{where}.gram")
-        # disc % 4 == 0 keeps every double-cover discriminant candidate integral.
-        if name == "seed_transcendental_lattice" and not (
-            value.rank == 2 and value.is_even() and value.is_positive_definite() and value.disc() % 4 == 0
-        ):
-            raise SchemaError(
-                f"{where}.gram: the seed lattice must have rank 2 and be even and positive "
-                "definite, with discriminant divisible by 4"
-            )
+        if name == "seed_transcendental_lattice":
+            # disc % 4 == 0 keeps every double-cover discriminant candidate integral.
+            if not (
+                value.rank == 2 and value.is_even() and value.is_positive_definite()
+                and (disc := value.disc()) % 4 == 0
+            ):
+                raise SchemaError(
+                    f"{where}.gram: the seed lattice must have rank 2 and be even and positive "
+                    "definite, with discriminant divisible by 4"
+                )
+            # The largest candidate, 4 disc, has its classes enumerated; the
+            # limit also bounds the rigidity search on the halved seed.
+            if 4 * disc > MAX_CLASS_DISC:
+                raise SchemaError(
+                    f"{where}.gram: the discriminant candidate {4 * disc} "
+                    f"exceeds the class-enumeration limit {MAX_CLASS_DISC}"
+                )
+        elif value.det() == 0:
+            raise SchemaError(f"{where}.gram: the lattice must be nondegenerate, its determinant is zero")
     if "order" in fields:
         value = _require(payload, "order", int, where)
         if value < 1:

@@ -50,8 +50,8 @@ def _check_int(x: object) -> int:
 class GramLattice:
     """An integral lattice in a fixed basis, held as its Gram matrix.
 
-    Rank 0 (the empty lattice) is allowed: it is the identity for
-    direct_sum and has determinant 1 by the empty-product convention.
+    Rank 0 (the empty lattice) is allowed: it has determinant 1 by the
+    empty-product convention.
     """
 
     __slots__ = ("gram",)
@@ -93,12 +93,6 @@ class GramLattice:
                 return False
         return True
 
-    def rescale(self, n: int) -> "GramLattice":
-        """Multiply the bilinear form by a positive integer n."""
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("rescale factor must be a positive integer")
-        return GramLattice([[n * x for x in row] for row in self.gram])
-
     def unscale(self, n: int) -> "GramLattice":
         """Divide the form by n exactly; every entry must be divisible."""
         if not isinstance(n, int) or n < 1:
@@ -111,15 +105,6 @@ class GramLattice:
 
     def negate(self) -> "GramLattice":
         return GramLattice([[-x for x in row] for row in self.gram])
-
-    def direct_sum(self, other: "GramLattice") -> "GramLattice":
-        n, m = self.rank, other.rank
-        rows = []
-        for i in range(n):
-            rows.append(list(self.gram[i]) + [0] * m)
-        for j in range(m):
-            rows.append([0] * n + list(other.gram[j]))
-        return GramLattice(rows)
 
     def discriminant_group(self) -> tuple[int, ...]:
         """Invariant factors (> 1, in a divisibility chain) of the dual quotient."""
@@ -326,7 +311,7 @@ class FrozenRecord:
 class BinaryEvenForm(FrozenRecord):
     """Even binary form with Gram matrix [[2a, b], [b, 2c]].
 
-    Forms order by (a, b, c).
+    Forms compare for equality only: nothing in the package sorts them.
     """
 
     __slots__ = ("a", "b", "c")
@@ -337,26 +322,6 @@ class BinaryEvenForm(FrozenRecord):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values < other._values
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values <= other._values
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values > other._values
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values >= other._values
-        return NotImplemented
 
     @property
     def disc(self) -> int:
@@ -399,20 +364,6 @@ def reduce_binary(form: BinaryEvenForm) -> BinaryEvenForm:
     if b < 0:
         b = -b
     return BinaryEvenForm(a, b, c)
-
-
-def is_isometric_binary(left: GramLattice, right: GramLattice) -> bool:
-    """Isometry test for even positive-definite rank-2 lattices."""
-    forms = []
-    for lat in (left, right):
-        if lat.rank != 2:
-            raise PreconditionViolatedError("isometry test supports rank 2 only")
-        if not lat.is_even():
-            raise NotEvenError("isometry test needs even lattices")
-        if not lat.is_positive_definite():
-            raise NotPositiveDefiniteError("isometry test needs positive-definite lattices")
-        forms.append(reduce_binary(BinaryEvenForm.from_gram(lat)))
-    return forms[0] == forms[1]
 
 
 def _smallest_prime_factors(n: int) -> list[int]:

@@ -57,18 +57,6 @@ def _rank_over(trivial_rank: int, rho: int) -> int:
     return r
 
 
-def _mwl_disc(trivial_disc: int, disc_ns: int, torsion_order: int) -> Fraction:
-    if not isinstance(disc_ns, int) or disc_ns < 1:
-        raise ValueError("disc_ns must be a positive integer")
-    if not isinstance(torsion_order, int) or torsion_order < 1:
-        raise ValueError("torsion order must be a positive integer")
-    return Fraction(disc_ns * torsion_order * torsion_order, trivial_disc)
-
-
-def mw_rank(config: SurfaceConfig, rho: int) -> int:
-    return _rank_over(_trivial_summands(config)[0], rho)
-
-
 def shioda_tate(config: SurfaceConfig, rho: int) -> ShiodaTateResult:
     trivial_rank, trivial_disc, _ = _trivial_summands(config)
     return ShiodaTateResult(
@@ -77,32 +65,6 @@ def shioda_tate(config: SurfaceConfig, rho: int) -> ShiodaTateResult:
         mw_rank=_rank_over(trivial_rank, rho),
         trivial_disc=trivial_disc,
     )
-
-
-def mwl_discriminant(
-    config: SurfaceConfig, disc_ns: int, rho: int, torsion_order: int
-) -> Fraction:
-    """Mordell-Weil lattice discriminant from the Neron-Severi discriminant.
-
-    disc(MWL) = disc_NS * torsion^2 / (product of fiber root lattice
-    determinants), in lowest terms.  A rank-0 Mordell-Weil group must
-    come out as exactly 1.
-    """
-    trivial_rank, trivial_disc, _ = _trivial_summands(config)
-    disc = _mwl_disc(trivial_disc, disc_ns, torsion_order)
-    _rank_over(trivial_rank, rho)  # validates rho against the trivial lattice
-    return disc
-
-
-def mwl_denominator_bound(config: SurfaceConfig, r: int) -> int:
-    """Upper bound D^r for the denominator of disc(MWL) in lowest terms.
-
-    D is the least common multiple of every value the local height
-    contributions can have in their denominators, over all fibers.
-    """
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("Mordell-Weil rank must be a nonnegative integer")
-    return _trivial_summands(config)[2] ** r
 
 
 class DiscConsistency(FrozenRecord):
@@ -125,12 +87,18 @@ def check_disc_consistency(
 ) -> DiscConsistency:
     """Test a candidate Neron-Severi discriminant against the height bound.
 
-    The denominator of the implied disc(MWL) must divide D^r; a rank-0
-    Mordell-Weil group forces disc(MWL) = 1 exactly.
+    disc(MWL) = disc_NS * torsion^2 / (product of the fiber root lattice
+    determinants), in lowest terms.  Its denominator must divide D^r,
+    where D is the lcm of the local height contribution denominators over
+    all fibers; a rank-0 Mordell-Weil group forces disc(MWL) = 1 exactly.
     """
     trivial_rank, trivial_disc, d = _trivial_summands(config)
     r = _rank_over(trivial_rank, rho)
-    disc = _mwl_disc(trivial_disc, candidate_disc, torsion_order)
+    if not isinstance(candidate_disc, int) or candidate_disc < 1:
+        raise ValueError("disc_ns must be a positive integer")
+    if not isinstance(torsion_order, int) or torsion_order < 1:
+        raise ValueError("torsion order must be a positive integer")
+    disc = Fraction(candidate_disc * torsion_order * torsion_order, trivial_disc)
     bound = d**r
     reason = None
     if r == 0 and disc != 1:

@@ -39,7 +39,7 @@ from .jsonio import (
     surface_config_to_json,
 )
 from .kodaira import is_star
-from .lattice import MAX_CLASS_DISC, FrozenRecord, NotPerfectSquareRatioError
+from .lattice import FrozenRecord, NotPerfectSquareRatioError
 from .mordell_weil import check_disc_consistency, shioda_tate
 from .surfaces import (
     BaseChangeResult,
@@ -54,7 +54,6 @@ from .transcendental import (
     ExclusionFact,
     RigidityCertificate,
     VERDICT_FAILS,
-    VERDICT_HOLDS_POSSIBLE,
     candidate_classes,
     double_cover_disc_candidates,
     resolve_disc,
@@ -193,7 +192,7 @@ def _base_change_json(bc: BaseChangeResult) -> dict:
                 "branched": row.branched,
                 "star": row.star,
                 "images": [{"label": lab, "type": tok} for lab, tok in row.images],
-                "delta": tagged(row.delta, row.table_source if row.table_source in TAGS else "derived"),
+                "delta": tagged(row.delta, row.table_source),
                 "table": row.table_source,
             }
         )
@@ -391,21 +390,6 @@ def _assumed_lattices(
     return ({"assumed_stage_lattices": entries} if entries else {}), [], pinned
 
 
-def _check_class_limit(spec: PipelineSpec, candidates: list[tuple[int, int]]) -> None:
-    """Refuse a seed lattice whose largest candidate is over the class limit.
-
-    Checked before any candidate is enumerated: the smaller ones alone can
-    take seconds.
-    """
-    largest = max(disc for _alpha, disc in candidates)
-    if largest > MAX_CLASS_DISC:
-        i = spec.assumptions.index(spec.seed_lattice)
-        raise SchemaError(
-            f"assumptions[{i}].payload.gram: the discriminant candidate {largest} "
-            f"exceeds the class-enumeration limit {MAX_CLASS_DISC}"
-        )
-
-
 def _resolution_stage(
     spec: PipelineSpec, surfaces: Surfaces, candidates: list[tuple[int, int]], pinned: CentralDiscs
 ) -> tuple[dict, list[Reason], CentralDiscs]:
@@ -426,7 +410,6 @@ def _resolution_stage(
             continue
         torsion = spec.torsion.get(name)
         if classes is None:
-            _check_class_limit(spec, candidates)
             classes = candidate_classes(candidates)
         resolution = resolve_disc(
             candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
@@ -559,7 +542,7 @@ def run_pipeline(spec: PipelineSpec) -> dict:
         reasons.append(Reason("no seed transcendental lattice assumption: lattice analysis skipped"))
     else:
         t_x = spec.seed_lattice.value
-        candidates = double_cover_disc_candidates(t_x.disc(), t_x.rank)
+        candidates = double_cover_disc_candidates(t_x.disc())
         analysis["candidates"] = {
             "disc_seed": tagged(t_x.disc(), "assumed"),
             "list": [{"alpha": a, "disc": tagged(d, "derived")} for a, d in candidates],

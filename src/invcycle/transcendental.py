@@ -76,21 +76,19 @@ class ExclusionFact(FrozenRecord):
         set_field(self, "provenance", provenance)
 
 
-def double_cover_disc_candidates(disc_tx: int, rank: int) -> list[tuple[int, int]]:
-    """Candidate discriminants disc_tx * 2^(2a - rank) for a = 0..rank.
+def double_cover_disc_candidates(disc_tx: int) -> list[tuple[int, int]]:
+    """Candidate discriminants disc_tx * 2^(2a - 2) for a = 0, 1, 2.
 
-    Covers the possible positions of the covered lattice between the
-    pushforward and the pullback of the covering one.
+    Covers the possible positions of the rank-2 covered lattice between
+    the pushforward and the pullback of the covering one.
     """
-    if rank != 2:
-        raise UnsupportedRankError(f"rank {rank} is not supported; only rank 2")
     if not isinstance(disc_tx, int) or disc_tx < 1:
         raise ValueError("disc_tx must be a positive integer")
     if disc_tx % 4 != 0:
         raise NotDivisibleError(
             f"disc_tx = {disc_tx} must be divisible by 2^rank for the a = 0 candidate"
         )
-    return [(alpha, disc_tx * 4**alpha // 4) for alpha in range(rank + 1)]
+    return [(alpha, disc_tx * 4**alpha // 4) for alpha in range(3)]
 
 
 class ClassVerdict(FrozenRecord):
@@ -297,13 +295,17 @@ class RigidityCertificate(FrozenRecord):
         set_field(self, "conclusion", conclusion)
 
 
-def rigidity_transfer(lattice: GramLattice, index_bound: int = 10) -> RigidityCertificate:
+# Largest overlattice index rigidity_transfer enumerates.
+RIGIDITY_INDEX_BOUND = 10
+
+
+def rigidity_transfer(lattice: GramLattice) -> RigidityCertificate:
     """Certify that an even lattice admits no proper even overlattice.
 
     Index m is impossible unless m^2 divides |det|, so the determinant
     arithmetic disposes of most indices and exhaustive enumeration
-    handles the rest.  Finding an overlattice is a refutation result,
-    not an error.
+    handles the rest, up to RIGIDITY_INDEX_BOUND.  Finding an
+    overlattice is a refutation result, not an error.
     """
     if lattice.rank != 2:
         raise UnsupportedRankError("rigidity transfer is implemented for rank 2 only")
@@ -311,12 +313,10 @@ def rigidity_transfer(lattice: GramLattice, index_bound: int = 10) -> RigidityCe
         raise NotEvenError("rigidity transfer needs an even lattice")
     if not lattice.is_positive_definite():
         raise NotPositiveDefiniteError("rigidity transfer needs a positive-definite lattice")
-    if index_bound < 2:
-        raise ValueError("index bound must be at least 2")
     disc = lattice.disc()
     checks = []
     witness = None
-    for m in range(2, index_bound + 1):
+    for m in range(2, RIGIDITY_INDEX_BOUND + 1):
         if disc % (m * m) != 0:
             checks.append(
                 RigidityCheck(m, "determinant-excluded", f"{m}^2 does not divide {disc}")
@@ -336,9 +336,9 @@ def rigidity_transfer(lattice: GramLattice, index_bound: int = 10) -> RigidityCe
     rigid = witness is None
     if rigid:
         max_possible = math.prod(p**k for p, k in square_divisor_primes(disc).items())
-        if max_possible > index_bound:
+        if max_possible > RIGIDITY_INDEX_BOUND:
             raise ValueError(
-                f"index bound {index_bound} does not cover all determinant-admissible "
+                f"index bound {RIGIDITY_INDEX_BOUND} does not cover all determinant-admissible "
                 f"indices up to {max_possible}"
             )
     conclusion = (
@@ -348,7 +348,7 @@ def rigidity_transfer(lattice: GramLattice, index_bound: int = 10) -> RigidityCe
     )
     return RigidityCertificate(
         lattice=lattice,
-        index_bound=index_bound,
+        index_bound=RIGIDITY_INDEX_BOUND,
         rigid=rigid,
         checks=tuple(checks),
         witness=witness,

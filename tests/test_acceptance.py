@@ -31,7 +31,7 @@ from invcycle.lattice import (
     root_gram,
     smith_normal_form,
 )
-from invcycle.mordell_weil import check_disc_consistency, mw_rank, mwl_discriminant
+from invcycle.mordell_weil import check_disc_consistency, shioda_tate
 from invcycle.pipeline import run_example
 from invcycle.surfaces import BranchSpec, SurfaceConfig, invariants, quadratic_base_change
 from invcycle.transcendental import (
@@ -147,15 +147,15 @@ def test_criterion_05_shioda_tate_ranks():
         y1 = config(["IV*", "IV*", "IV*"])
         st1 = config(["IV*", "IV"], genus=1)
         st2 = config(["IV*", "I2", "I2"], genus=1)
-        assert mw_rank(y2, 20) == 2
-        assert mw_rank(y1, 20) == 0
-        assert mw_rank(st1, 12) == 2
-        assert mw_rank(st2, 12) == 2
+        assert shioda_tate(y2, 20).mw_rank == 2
+        assert shioda_tate(y1, 20).mw_rank == 0
+        assert shioda_tate(st1, 12).mw_rank == 2
+        assert shioda_tate(st2, 12).mw_rank == 2
 
 
 def test_criterion_06_discriminant_resolution_end_to_end():
     with criterion(6, "discriminant 48 resolved and candidate 3 double-excluded"):
-        candidates = double_cover_disc_candidates(12, 2)
+        candidates = double_cover_disc_candidates(12)
         assert [d for _a, d in candidates] == [3, 12, 48]
 
         classes = enumerate_even_posdef_binary(12)
@@ -194,7 +194,7 @@ def test_criterion_06_discriminant_resolution_end_to_end():
         assert resolution.resolved
         assert resolution.resolved_disc == 48
 
-        assert mwl_discriminant(y2, 48, 20, 1) == Fraction(1, 3)
+        assert check_disc_consistency(y2, 48, 20, 1).mwl_disc == Fraction(1, 3)
 
         bound_check = check_disc_consistency(y2, 3, 20, 1)
         assert not bound_check.consistent
@@ -227,8 +227,7 @@ def test_criterion_08_second_pipeline():
         assert st.config.base_genus == 1
 
         quotient = shioda_inose_unscale(GramLattice([[4, 0], [0, 4]]))
-        a1_a1 = root_gram("A", 1).direct_sum(root_gram("A", 1))
-        assert quotient.gram == a1_a1.gram
+        assert quotient.gram == ((2, 0), (0, 2))  # A1 + A1
         assert rigidity_transfer(quotient).rigid
 
         report = run_example(2)

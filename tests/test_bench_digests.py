@@ -43,3 +43,12 @@ def test_first_ops_of_seed_1_match_recorded_digests(tmp_path, workload, count):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(op.argv))
         assert checks.output_digest(code, out.getvalue()) == digests[op.key], (op.argv, err.getvalue())
+
+
+def test_square_factor_share_uses_the_rigidity_index_bound():
+    """The benchmark's square-factor share counts the inputs on which
+    rigidity_transfer enumerates overlattices, so its copy of the bound
+    must follow the package's."""
+    from invcycle import transcendental
+
+    assert workloads.RIGIDITY_INDEX_BOUND == transcendental.RIGIDITY_INDEX_BOUND

@@ -246,6 +246,42 @@ class TestInProcess:
         assert err.startswith("error: assumptions[3].payload.gram: ")
         assert "3199999999984" in err
 
+    # disc = 4 p q with p q = 4c - 1 for two primes near 10^15: the rigidity
+    # search on the halved seed would trial-divide towards 10^10.
+    BIG_PRIMES = (1000000000000037, 1000000000000091)
+
+    @pytest.mark.parametrize("picard", [True, False], ids=["picard", "no-picard"])
+    def test_seed_over_class_limit_is_refused_before_rigidity(self, tmp_path, capsys, monkeypatch, picard):
+        from invcycle import transcendental
+
+        def forbidden(n):
+            raise AssertionError(f"searched {n}")
+
+        p, q = self.BIG_PRIMES
+
+        def edit(entries):
+            first(entries, "seed_transcendental_lattice")["payload"]["gram"] = [[4, 2], [2, p * q + 1]]
+            if not picard:
+                entries.remove(first(entries, "picard_maximal"))
+
+        monkeypatch.setattr(transcendental, "square_divisor_primes", forbidden)
+        monkeypatch.setattr(transcendental, "enumerate_even_posdef_binary", forbidden)
+        err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
+        assert err == (
+            f"error: assumptions[{3 if picard else 2}].payload.gram: the discriminant candidate "
+            f"{16 * p * q} exceeds the class-enumeration limit 1000000000000\n"
+        )
+
+    def test_degenerate_stage_lattice_names_the_field(self, tmp_path, capsys):
+        def edit(entries):
+            first(entries, "stage_transcendental_lattice")["payload"]["gram"] = [[0, 0], [0, 0]]
+
+        err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
+        assert err == (
+            "error: assumptions[5].payload.gram: the lattice must be nondegenerate, "
+            "its determinant is zero\n"
+        )
+
 
 def main_error(capsys, argv):
     """Run cli.main in process; it must exit 1 with one `error:` line."""

@@ -14,10 +14,8 @@ from invcycle.lattice import (
     NotDivisibleError,
     NotEvenError,
     NotPerfectSquareRatioError,
-    NotPositiveDefiniteError,
     enumerate_even_overlattices,
     enumerate_even_posdef_binary,
-    is_isometric_binary,
     reduce_binary,
     root_gram,
     smith_normal_form,
@@ -79,8 +77,6 @@ class TestGramLattice:
         empty = GramLattice([])
         assert empty.rank == 0
         assert empty.det() == 1
-        assert empty.direct_sum(A2) == A2
-        assert A2.direct_sum(empty) == A2
 
     def test_even_and_posdef(self):
         assert A2.is_even()
@@ -89,8 +85,7 @@ class TestGramLattice:
         assert not GramLattice([[-2, 0], [0, 2]]).is_positive_definite()
         assert not GramLattice([[2, 3], [3, 2]]).is_positive_definite()
 
-    def test_rescale_unscale_roundtrip(self):
-        assert A2.rescale(2) == A2_SCALED
+    def test_unscale(self):
         assert A2_SCALED.unscale(2) == A2
         with pytest.raises(NotDivisibleError):
             A2.unscale(2)
@@ -99,12 +94,6 @@ class TestGramLattice:
         neg = A2.negate()
         assert neg.gram == ((-2, -1), (-1, -2))
         assert neg.disc() == 3
-
-    def test_direct_sum(self):
-        s = A2.direct_sum(GramLattice([[2]]))
-        assert s.rank == 3
-        assert s.det() == 6
-        assert s.gram == ((2, 1, 0), (1, 2, 0), (0, 0, 2))
 
     def test_discriminant_group(self):
         assert A2.discriminant_group() == (3,)
@@ -274,8 +263,13 @@ class TestBinaryForms:
             assert (mine.a, mine.b, mine.c) == reduce_triple(a, b, c)
 
     def test_is_isometric(self):
-        assert is_isometric_binary(GramLattice([[2, 1], [1, 2]]), GramLattice([[2, -1], [-1, 2]]))
-        assert not is_isometric_binary(GramLattice([[2, 0], [0, 6]]), A2_SCALED)
+        # Even positive-definite binary lattices are isometric exactly when
+        # their reduced forms agree.
+        def reduced(lattice):
+            return reduce_binary(BinaryEvenForm.from_gram(lattice))
+
+        assert reduced(GramLattice([[2, 1], [1, 2]])) == reduced(GramLattice([[2, -1], [-1, 2]]))
+        assert reduced(GramLattice([[2, 0], [0, 6]])) != reduced(A2_SCALED)
 
 
 class TestEnumeration:
@@ -370,7 +364,7 @@ class TestOverlattices:
         assert enumerate_even_overlattices(A2, 2) == []
 
     def test_a2_rescaled3_index3(self):
-        overs = enumerate_even_overlattices(A2.rescale(3), 3)
+        overs = enumerate_even_overlattices(GramLattice([[6, 3], [3, 6]]), 3)
         assert len(overs) == 1
         reduced = reduce_binary(BinaryEvenForm.from_gram(overs[0]))
         assert (reduced.a, reduced.b, reduced.c) == (1, 1, 1)

@@ -8,9 +8,6 @@ from invcycle.kodaira import fiber
 from invcycle.mordell_weil import (
     PicardTooSmallError,
     check_disc_consistency,
-    mw_rank,
-    mwl_denominator_bound,
-    mwl_discriminant,
     shioda_tate,
 )
 from invcycle.surfaces import SurfaceConfig
@@ -60,69 +57,80 @@ class TestShiodaTate:
 
     def test_rho_below_trivial_rank(self):
         with pytest.raises(PicardTooSmallError):
-            mw_rank(EX1_Y0, 19)
+            shioda_tate(EX1_Y0, 19)
         with pytest.raises(PicardTooSmallError):
             shioda_tate(SEED1, 17)
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):
-            mw_rank(SEED1, 0)
+            shioda_tate(SEED1, 0)
         with pytest.raises(ValueError):
-            mw_rank(SEED1, "20")
+            shioda_tate(SEED1, "20")
+
+
+def mwl_disc(cfg, disc_ns, rho, torsion_order):
+    return check_disc_consistency(cfg, disc_ns, rho, torsion_order).mwl_disc
 
 
 class TestMwlDiscriminant:
     def test_example1_y2(self):
-        assert mwl_discriminant(EX1_Y2, 48, 20, 1) == Fraction(1, 3)
+        assert mwl_disc(EX1_Y2, 48, 20, 1) == Fraction(1, 3)
 
     def test_example1_family_stage_with_torsion(self):
         # disc_NS = 3, torsion 3: 3 * 9 / 9 = 3
-        assert mwl_discriminant(EX1_ST, 3, 12, 3) == 3
+        assert mwl_disc(EX1_ST, 3, 12, 3) == 3
 
     def test_example1_family_stage_torsion_free(self):
-        assert mwl_discriminant(EX1_ST, 3, 12, 1) == Fraction(1, 3)
+        assert mwl_disc(EX1_ST, 3, 12, 1) == Fraction(1, 3)
 
     def test_rank0_stage_comes_out_one(self):
-        assert mwl_discriminant(EX1_Y0, 3, 20, 1) == 1
-        assert mwl_discriminant(EX2_Y0, 4, 20, 1) == 1
+        assert mwl_disc(EX1_Y0, 3, 20, 1) == 1
+        assert mwl_disc(EX2_Y0, 4, 20, 1) == 1
 
     def test_example2_y1(self):
-        assert mwl_discriminant(EX2_Y1, 16, 20, 1) == Fraction(1, 6)
-        assert mwl_discriminant(EX2_Y1, 64, 20, 1) == Fraction(2, 3)
+        assert mwl_disc(EX2_Y1, 16, 20, 1) == Fraction(1, 6)
+        assert mwl_disc(EX2_Y1, 64, 20, 1) == Fraction(2, 3)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            mwl_discriminant(EX1_Y2, 0, 20, 1)
+            mwl_disc(EX1_Y2, 0, 20, 1)
         with pytest.raises(ValueError):
-            mwl_discriminant(EX1_Y2, 48, 20, 0)
+            mwl_disc(EX1_Y2, 48, 20, 0)
         with pytest.raises(PicardTooSmallError):
-            mwl_discriminant(EX1_Y2, 48, 17, 1)
+            mwl_disc(EX1_Y2, 48, 17, 1)
+
+
+def denominator_bound(cfg, r):
+    """D^r, read off at rho = trivial rank + r; the candidate disc and the
+    torsion order do not enter it."""
+    rho = shioda_tate(cfg, 20).trivial_rank + r
+    return check_disc_consistency(cfg, 1, rho, 1).denominator_bound
 
 
 class TestDenominatorBound:
     def test_rank0_bound_is_one(self):
-        assert mwl_denominator_bound(EX1_Y0, 0) == 1
+        assert denominator_bound(EX1_Y0, 0) == 1
 
     def test_example1_y2(self):
         # I0* gives {1,2}, IV {1,3}, IV* {1,3}: lcm 6, r = 2
-        assert mwl_denominator_bound(EX1_Y2, 2) == 36
+        assert denominator_bound(EX1_Y2, 2) == 36
 
     def test_example1_family_stage(self):
-        assert mwl_denominator_bound(EX1_ST, 2) == 9
+        assert denominator_bound(EX1_ST, 2) == 9
 
     def test_example2_y1(self):
         # IV* {1,3}, I1* {1,2,4}, I2 {1,2}: lcm 12
-        assert mwl_denominator_bound(EX2_Y1, 1) == 12
+        assert denominator_bound(EX2_Y1, 1) == 12
 
     def test_in_fibers(self):
         cfg = config(["I5", "I6"])
         # divisors of 5 and 6: lcm 30
-        assert mwl_denominator_bound(cfg, 1) == 30
-        assert mwl_denominator_bound(cfg, 3) == 27000
+        assert denominator_bound(cfg, 1) == 30
+        assert denominator_bound(cfg, 3) == 27000
 
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError):
-            mwl_denominator_bound(EX1_Y2, -1)
+            denominator_bound(EX1_Y2, -1)
 
 
 class TestDiscConsistency:

@@ -5,10 +5,9 @@ the lattice and fiber commands load, and the sixteen records of the
 pipeline modules behave as frozen dataclasses do: field-wise equality
 with instances of the same class only (never with a plain tuple), the
 hash of the field tuple, `Name(field=value, ...)` reprs, and no
-assignment after construction.  `BinaryEvenForm` also orders by its
-field tuple; the others do not order.  The repr is part of user-visible
-error text.  The pipeline records' tests were written against the frozen
-dataclasses they replace, and passed there.
+assignment after construction.  None of them orders.  The repr is part
+of user-visible error text.  The pipeline records' tests were written
+against the frozen dataclasses they replace, and passed there.
 """
 
 import copy
@@ -102,15 +101,11 @@ def test_copy_and_pickle_round_trip(same, again, other, fields):
     assert pickle.loads(pickle.dumps(same)) == same
 
 
-def test_binary_forms_sort_by_field_tuple():
-    forms = [BinaryEvenForm(2, 1, 3), BinaryEvenForm(1, 0, 5), BinaryEvenForm(2, -1, 3), BinaryEvenForm(1, 1, 2)]
-    assert sorted(forms) == [
-        BinaryEvenForm(1, 0, 5), BinaryEvenForm(1, 1, 2), BinaryEvenForm(2, -1, 3), BinaryEvenForm(2, 1, 3),
-    ]
-    small, large = BinaryEvenForm(1, 0, 1), BinaryEvenForm(1, 0, 2)
-    assert small < large and small <= large and large > small and large >= small
-    assert small <= BinaryEvenForm(1, 0, 1) >= small
-    assert max(forms) == BinaryEvenForm(2, 1, 3)
+def test_binary_forms_do_not_order():
+    with pytest.raises(TypeError):
+        BinaryEvenForm(1, 0, 1) < BinaryEvenForm(1, 0, 2)
+    with pytest.raises(TypeError):
+        sorted([BinaryEvenForm(2, 1, 3), BinaryEvenForm(1, 0, 5)])
 
 
 def test_binary_forms_do_not_order_against_tuples():

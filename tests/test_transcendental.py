@@ -49,22 +49,18 @@ EX1_Y2 = config(["I0*", "I0*", "IV", "IV*"])
 
 class TestCandidates:
     def test_disc_12(self):
-        assert double_cover_disc_candidates(12, 2) == [(0, 3), (1, 12), (2, 48)]
+        assert double_cover_disc_candidates(12) == [(0, 3), (1, 12), (2, 48)]
 
     def test_disc_16(self):
-        assert double_cover_disc_candidates(16, 2) == [(0, 4), (1, 16), (2, 64)]
-
-    def test_rank_restriction(self):
-        with pytest.raises(UnsupportedRankError):
-            double_cover_disc_candidates(12, 3)
+        assert double_cover_disc_candidates(16) == [(0, 4), (1, 16), (2, 64)]
 
     def test_divisibility(self):
         with pytest.raises(NotDivisibleError):
-            double_cover_disc_candidates(6, 2)
+            double_cover_disc_candidates(6)
 
     def test_positivity(self):
         with pytest.raises(ValueError):
-            double_cover_disc_candidates(0, 2)
+            double_cover_disc_candidates(0)
 
 
 def a2_fact():
@@ -131,7 +127,7 @@ class TestResolveDisc:
     ]
 
     def test_example1_resolves_to_48(self):
-        candidates = double_cover_disc_candidates(12, 2)
+        candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
             self.EX1_FACTS, EX1_Y2, rho=20, torsion_order=1
@@ -142,7 +138,7 @@ class TestResolveDisc:
         assert res.surviving == ((2, 48),)
 
     def test_example1_certificate_details(self):
-        candidates = double_cover_disc_candidates(12, 2)
+        candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
             self.EX1_FACTS, EX1_Y2, rho=20, torsion_order=1
@@ -167,7 +163,7 @@ class TestResolveDisc:
         # Same facts, but a context with different fibers: the fibration
         # facts no longer apply, so candidate 12 survives too.
         other = config(["IV*", "IV*", "IV*"])
-        candidates = double_cover_disc_candidates(12, 2)
+        candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
             self.EX1_FACTS[:3], other, rho=20, torsion_order=1
@@ -176,7 +172,7 @@ class TestResolveDisc:
         assert {d for _, d in res.surviving} == {12, 48}
 
     def test_ambiguous_without_facts(self):
-        candidates = double_cover_disc_candidates(16, 2)
+        candidates = double_cover_disc_candidates(16)
         ex2 = config(["IV*", "I1*", "I1*", "I2"])
         facts = [
             ExclusionFact(
@@ -196,7 +192,7 @@ class TestResolveDisc:
         assert res.surviving_form is None
 
     def test_bound_skipped_without_torsion(self):
-        candidates = double_cover_disc_candidates(12, 2)
+        candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
             [bound_fact()], EX1_Y2, rho=20, torsion_order=None
@@ -300,14 +296,14 @@ class TestRigidity:
         assert [c.index for c in found] == [2]
 
     def test_a2_scaled_3_not_rigid(self):
-        cert = rigidity_transfer(root_gram("A", 2).rescale(3))
+        cert = rigidity_transfer(GramLattice([[6, 3], [3, 6]]))
         assert not cert.rigid
         assert reduce_binary(BinaryEvenForm.from_gram(cert.witness)) == BinaryEvenForm(1, 1, 1)
 
     def test_bound_must_cover_admissible_indices(self):
         big = GramLattice([[2, 0], [0, 2 * 11 * 11]])
         with pytest.raises(ValueError):
-            rigidity_transfer(big, index_bound=10)
+            rigidity_transfer(big)
 
     @pytest.mark.parametrize(
         "gram, largest",
@@ -332,8 +328,6 @@ class TestRigidity:
             rigidity_transfer(GramLattice([[1, 0], [0, 2]]))
         with pytest.raises(NotPositiveDefiniteError):
             rigidity_transfer(GramLattice([[2, 0], [0, -2]]))
-        with pytest.raises(ValueError):
-            rigidity_transfer(root_gram("A", 2), index_bound=1)
 
 
 def largest_square_root(n):
