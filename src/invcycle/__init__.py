@@ -9,55 +9,4 @@ discriminant mismatch into a failure certificate for the integral
 invariant cycle property.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-# Public names by defining module, loaded on first access (PEP 562), so
-# that importing one submodule, or the CLI, loads only what it runs.
-_EXPORTS = {
-    name: module
-    for module, names in (
-        ("jsonio", ("PipelineError",)),
-        ("kodaira", (
-            "FiberTokenError", "KodairaFiber", "base_change_source", "delta", "euler_number",
-            "fiber", "fiber_profile", "is_star", "quadratic_base_change_fiber",
-        )),
-        ("lattice", (
-            "BinaryEvenForm", "GramLattice", "LatticeError", "NotDivisibleError", "NotEvenError",
-            "NotPerfectSquareRatioError", "NotPositiveDefiniteError", "enumerate_even_overlattices",
-            "enumerate_even_posdef_binary", "reduce_binary", "root_gram",
-            "smith_normal_form", "sublattice_index_from_discs",
-        )),
-        ("mordell_weil", ("PicardTooSmallError", "check_disc_consistency", "shioda_tate")),
-        ("surfaces", (
-            "BranchSpec", "SurfaceConfig", "SurfaceError", "UnknownLabelError", "invariants",
-            "quadratic_base_change",
-        )),
-        ("transcendental", (
-            "ExclusionFact", "NothingSurvivesError", "VERDICT_FAILS", "VERDICT_HOLDS_POSSIBLE",
-            "candidate_classes", "double_cover_disc_candidates", "resolve_disc", "rigidity_transfer",
-            "shioda_inose_unscale", "specialization_index",
-        )),
-        ("pipeline", (
-            "PipelineContradictionError", "build_pipeline_spec", "render_text", "report_exit_code",
-            "run_custom", "run_example",
-        )),
-    )
-    for name in names
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

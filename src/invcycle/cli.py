@@ -18,6 +18,7 @@ from pathlib import Path
 from .jsonio import (
     InputError,
     PipelineError,
+    _digit_limit_error,
     dumps_canonical,
     form_to_json,
     gram_to_json,
@@ -32,6 +33,17 @@ from .jsonio import (
 
 def _parse_gram_arg(text: str):
     return parse_gram(loads_json(text, "--gram"), "--gram")
+
+
+def _write_gram_answer(build) -> int:
+    """Write the document build() returns.  An answer with an integer past
+    the int/str conversion limit is an error naming --gram, its source."""
+    try:
+        encoded = dumps_canonical(build())
+    except ValueError as exc:
+        raise _digit_limit_error("--gram: the answer cannot be printed", exc) from None
+    sys.stdout.write(encoded)
+    return 0
 
 
 def _emit_report(report: dict, args) -> int:
@@ -84,13 +96,11 @@ def _cmd_lattice_reduce(args) -> int:
 
     gram = _parse_gram_arg(args.gram)
     form = reduce_binary(BinaryEvenForm.from_gram(gram))
-    doc = {
+    return _write_gram_answer(lambda: {
         "reduced": form_to_json(form),
         "coefficients": [form.a, form.b, form.c],
         "disc": form.disc,
-    }
-    sys.stdout.write(dumps_canonical(doc))
-    return 0
+    })
 
 
 def _cmd_lattice_enumerate(args) -> int:
@@ -113,16 +123,14 @@ def _cmd_lattice_overlattices(args) -> int:
 
     gram = _parse_gram_arg(args.gram)
     overs = enumerate_even_overlattices(gram, args.index)
-    doc = {
+    return _write_gram_answer(lambda: {
         "gram": gram_to_json(gram),
         "index": args.index,
         "count": len(overs),
         "overlattices": [
             {"gram": gram_to_json(o), "disc": o.disc()} for o in overs
         ],
-    }
-    sys.stdout.write(dumps_canonical(doc))
-    return 0
+    })
 
 
 def _cmd_basechange(args) -> int:

@@ -242,6 +242,14 @@ class Assumption(FrozenRecord):
         set_field(self, "value", value)
 
 
+SEED_STAGE = "X"
+FAMILY_STAGE = "S_t"
+# Every stage an assumption may name: the seed, the family and the three
+# K3 double covers that a branch with three star fibers derives.  Y0-Y2
+# are accepted whatever the branch: one without three stars derives none
+# of them, and that input still gets a report, not an input error.
+STAGE_NAMES = (SEED_STAGE, FAMILY_STAGE, "Y0", "Y1", "Y2")
+
 FLAG_ASSUMPTIONS = ("picard_maximal", "constant_transcendental_vhs", "specialization_injective")
 
 # Payload fields per assumption name; exclusion_fact payloads are facts.
@@ -301,6 +309,10 @@ def _parse_payload(name: str, payload: dict, where: str) -> tuple[str | None, An
     if fields is None:
         return None, parse_exclusion_fact(payload, where)
     stage = _require(payload, "stage", str, where) if "stage" in fields else None
+    if stage is not None and stage not in STAGE_NAMES:
+        raise SchemaError(
+            f"{where}.stage: unknown stage {stage!r}; the stages are {', '.join(STAGE_NAMES)}"
+        )
     value = None
     if "gram" in fields:
         value = parse_gram(_require(payload, "gram", list, where), f"{where}.gram")
@@ -323,6 +335,10 @@ def _parse_payload(name: str, payload: dict, where: str) -> tuple[str | None, An
                 )
         elif value.det() == 0:
             raise SchemaError(f"{where}.gram: the lattice must be nondegenerate, its determinant is zero")
+        elif not (value.rank == 2 and value.is_even() and value.is_positive_definite()):
+            raise SchemaError(
+                f"{where}.gram: the stage lattice must have rank 2 and be even and positive definite"
+            )
     if "order" in fields:
         value = _require(payload, "order", int, where)
         if value < 1:

@@ -13,32 +13,64 @@ root_lattice, which the tests do to cross-check the catalog.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .lattice import FrozenRecord, GramLattice, root_gram
 
 _PARAMETRIC_KINDS = ("I", "I*")
 
 
-class _Row(NamedTuple):
-    euler: int
-    components: int
-    root_type: str | None  # Dynkin type; None when there is no root lattice
-    root_rank: int  # components - 1
-    root_disc: int
-    denominators: tuple[int, ...]
-    image: str  # token of the fiber over a ramified quadratic base change
+class FiberProfile(FrozenRecord):
+    """Component-level data of a fiber inside the Neron-Severi lattice.
+
+    root_type is the Dynkin type, None when there is no root lattice;
+    root_rank is components - 1; odd_multiplicity_components is set for
+    star fibers only.
+    """
+
+    __slots__ = (
+        "euler", "components", "root_type", "root_rank", "root_disc",
+        "odd_multiplicity_components", "contribution_denominators",
+    )
+
+    def __init__(
+        self,
+        euler: int,
+        components: int,
+        root_type: str | None,
+        root_rank: int,
+        root_disc: int,
+        odd_multiplicity_components: int | None,
+        contribution_denominators: frozenset[int],
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "euler", euler)
+        set_field(self, "components", components)
+        set_field(self, "root_type", root_type)
+        set_field(self, "root_rank", root_rank)
+        set_field(self, "root_disc", root_disc)
+        set_field(self, "odd_multiplicity_components", odd_multiplicity_components)
+        set_field(self, "contribution_denominators", contribution_denominators)
+
+    @property
+    def root_lattice(self) -> GramLattice:
+        """The negated Cartan matrix, built on demand."""
+        if self.root_type is None:
+            return GramLattice([])
+        return root_gram(self.root_type, self.root_rank).negate()
 
 
-# Star images come from the published table; non-star images follow from
-# the doubled vanishing order (see base_change_source).
+# Fixed kind -> (its profile, the token of its image under a ramified
+# quadratic base change).  Profiles are immutable, so fiber_profile hands
+# out these shared records.  Star images come from the published table;
+# non-star images follow from the doubled vanishing order (see
+# base_change_source).
 _CATALOG = {
-    "II": _Row(2, 1, None, 0, 1, (1,), "IV"),
-    "III": _Row(3, 2, "A", 1, 2, (1, 2), "I0*"),
-    "IV": _Row(4, 3, "A", 2, 3, (1, 3), "IV*"),
-    "IV*": _Row(8, 7, "E", 6, 3, (1, 3), "IV"),
-    "III*": _Row(9, 8, "E", 7, 2, (1, 2), "I0*"),
-    "II*": _Row(10, 9, "E", 8, 1, (1,), "IV*"),
+    "II": (FiberProfile(2, 1, None, 0, 1, None, frozenset({1})), "IV"),
+    "III": (FiberProfile(3, 2, "A", 1, 2, None, frozenset({1, 2})), "I0*"),
+    "IV": (FiberProfile(4, 3, "A", 2, 3, None, frozenset({1, 3})), "IV*"),
+    "IV*": (FiberProfile(8, 7, "E", 6, 3, 4, frozenset({1, 3})), "IV"),
+    "III*": (FiberProfile(9, 8, "E", 7, 2, 4, frozenset({1, 2})), "I0*"),
+    "II*": (FiberProfile(10, 9, "E", 8, 1, 4, frozenset({1})), "IV*"),
 }
 
 
@@ -121,14 +153,14 @@ def euler_number(f: KodairaFiber) -> int:
         return f.n
     if f.kind == "I*":
         return 6 + f.n
-    return _CATALOG[f.kind].euler
+    return _CATALOG[f.kind][0].euler
 
 
 def quadratic_base_change_fiber(f: KodairaFiber) -> KodairaFiber:
     """Fiber type over a branch point of a quadratic base change."""
     if f.kind in _PARAMETRIC_KINDS:
         return KodairaFiber("I", 2 * f.n)
-    return fiber(_CATALOG[f.kind].image)
+    return fiber(_CATALOG[f.kind][1])
 
 
 def base_change_source(f: KodairaFiber) -> str:
@@ -153,46 +185,6 @@ def delta(f: KodairaFiber) -> int:
     return value
 
 
-class FiberProfile(FrozenRecord):
-    """Component-level data of a fiber inside the Neron-Severi lattice.
-
-    root_type is the Dynkin type, None when there is no root lattice;
-    root_rank is components - 1; odd_multiplicity_components is set for
-    star fibers only.
-    """
-
-    __slots__ = (
-        "euler", "components", "root_type", "root_rank", "root_disc",
-        "odd_multiplicity_components", "contribution_denominators",
-    )
-
-    def __init__(
-        self,
-        euler: int,
-        components: int,
-        root_type: str | None,
-        root_rank: int,
-        root_disc: int,
-        odd_multiplicity_components: int | None,
-        contribution_denominators: frozenset[int],
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "euler", euler)
-        set_field(self, "components", components)
-        set_field(self, "root_type", root_type)
-        set_field(self, "root_rank", root_rank)
-        set_field(self, "root_disc", root_disc)
-        set_field(self, "odd_multiplicity_components", odd_multiplicity_components)
-        set_field(self, "contribution_denominators", contribution_denominators)
-
-    @property
-    def root_lattice(self) -> GramLattice:
-        """The negated Cartan matrix, built on demand."""
-        if self.root_type is None:
-            return GramLattice([])
-        return root_gram(self.root_type, self.root_rank).negate()
-
-
 def _divisors(n: int) -> frozenset[int]:
     """Divisors of n >= 1, by trial division up to sqrt(n)."""
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -208,13 +200,4 @@ def fiber_profile(f: KodairaFiber) -> FiberProfile:
     if f.kind == "I*":
         denoms = frozenset({1, 2} if n == 0 else {1, 2, 4})
         return FiberProfile(6 + n, 5 + n, "D", 4 + n, 4, 4, denoms)
-    row = _CATALOG[f.kind]
-    return FiberProfile(
-        euler=row.euler,
-        components=row.components,
-        root_type=row.root_type,
-        root_rank=row.root_rank,
-        root_disc=row.root_disc,
-        odd_multiplicity_components=4 if is_star(f) else None,
-        contribution_denominators=frozenset(row.denominators),
-    )
+    return _CATALOG[f.kind][0]

@@ -93,16 +93,6 @@ class GramLattice:
                 return False
         return True
 
-    def unscale(self, n: int) -> "GramLattice":
-        """Divide the form by n exactly; every entry must be divisible."""
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("unscale factor must be a positive integer")
-        for row in self.gram:
-            for x in row:
-                if x % n != 0:
-                    raise NotDivisibleError(f"entry {x} is not divisible by {n}")
-        return GramLattice([[x // n for x in row] for row in self.gram])
-
     def negate(self) -> "GramLattice":
         return GramLattice([[-x for x in row] for row in self.gram])
 

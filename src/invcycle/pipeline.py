@@ -24,7 +24,9 @@ from pathlib import Path
 from typing import Any
 
 from .jsonio import (
+    FAMILY_STAGE,
     FLAG_ASSUMPTIONS,
+    SEED_STAGE,
     Assumption,
     PipelineError,
     SchemaError,
@@ -61,14 +63,6 @@ from .transcendental import (
     shioda_inose_unscale,
     specialization_index,
 )
-
-SEED_STAGE = "X"
-FAMILY_STAGE = "S_t"
-# Every stage an assumption may name: the seed, the family and the three
-# K3 double covers that a branch with three star fibers derives.  Y0-Y2
-# are accepted whatever the branch: one without three stars derives none
-# of them, and that input still gets a report, not an input error.
-STAGE_NAMES = (SEED_STAGE, FAMILY_STAGE, "Y0", "Y1", "Y2")
 
 TAGS = ("paper", "trivial", "derived", "assumed")
 
@@ -123,7 +117,6 @@ def build_pipeline_spec(
     The family stage uses the branch set as given.  When the branch
     contains exactly three star fibers, each pair of them defines one
     K3 double-cover stage: Y_k omits the k-th star (in fiber order).
-    An assumption naming a stage outside STAGE_NAMES is a SchemaError.
     """
     stages: list[tuple[str, BranchSpec]] = [(FAMILY_STAGE, family_branch)]
     star_labels = [
@@ -133,12 +126,6 @@ def build_pipeline_spec(
         for k in range(3):
             pair = frozenset(x for i, x in enumerate(star_labels) if i != k)
             stages.append((f"Y{k}", BranchSpec(pair)))
-    for i, a in enumerate(assumptions):
-        if a.stage is not None and a.stage not in STAGE_NAMES:
-            raise SchemaError(
-                f"assumptions[{i}].payload.stage: unknown stage {a.stage!r}; "
-                f"the stages are {', '.join(STAGE_NAMES)}"
-            )
     named = {a.name: a for a in assumptions}
     return PipelineSpec(
         seed=seed,

@@ -359,7 +359,11 @@ def rigidity_transfer(lattice: GramLattice) -> RigidityCertificate:
 
 def shioda_inose_unscale(lattice: GramLattice) -> GramLattice:
     """Transcendental lattice of the degree-2 quotient: halve the pairing."""
-    return lattice.unscale(2)
+    for row in lattice.gram:
+        for x in row:
+            if x % 2:
+                raise NotDivisibleError(f"entry {x} is not divisible by 2")
+    return GramLattice([[x // 2 for x in row] for row in lattice.gram])
 
 
 class SpecializationResult(FrozenRecord):

@@ -1,5 +1,7 @@
 """Command-line interface, exercised through real subprocesses."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, **kwargs):
@@ -282,6 +286,69 @@ class TestInProcess:
             "its determinant is zero\n"
         )
 
+    @pytest.mark.parametrize(
+        "gram",
+        [[[1, 0], [0, 3]], [[-2, 1], [1, -2]], [[2, 1], [1, -2]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]],
+        ids=["odd", "negative-definite", "indefinite", "rank-3"],
+    )
+    def test_invalid_stage_lattice_names_the_field(self, tmp_path, capsys, gram):
+        def edit(entries):
+            first(entries, "stage_transcendental_lattice")["payload"]["gram"] = gram
+
+        err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
+        assert err == (
+            "error: assumptions[5].payload.gram: the stage lattice must have rank 2 "
+            "and be even and positive definite\n"
+        )
+
+
+@st.composite
+def symmetric_grams(draw, ranks=st.integers(1, 3), diagonal=st.integers(-6, 6)):
+    n = draw(ranks)
+    upper = {
+        (i, j): draw(diagonal if i == j else st.integers(-6, 6)) for i in range(n) for j in range(i, n)
+    }
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+# Few uniform Grams keep the stage rule, so positive even diagonals in rank 2
+# are drawn too; about half of those are positive definite.
+STAGE_GRAMS = st.one_of(
+    symmetric_grams(), symmetric_grams(st.just(2), st.sampled_from([2, 4, 6]))
+)
+
+
+def keeps_stage_rule(gram):
+    """Rank 2, even and positive definite, by the binary form's coefficients."""
+    if len(gram) != 2:
+        return False
+    (a, b), (_, c) = gram
+    return a % 2 == 0 and c % 2 == 0 and a > 0 and a * c > b * b
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram=STAGE_GRAMS)
+def test_stage_lattice_rule_decides_the_field_error(tmp_path_factory, gram):
+    """Example 1 with any small Gram as its stage lattice, assumptions[5]."""
+    from invcycle import cli
+
+    def edit(entries):
+        first(entries, "stage_transcendental_lattice")["payload"]["gram"] = gram
+
+    workdir = tmp_path_factory.getbasetemp() / "stage-lattice"
+    workdir.mkdir(exist_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["custom", *example1_args(workdir, edit)])
+    field_error = "error: assumptions[5].payload.gram: "
+    if keeps_stage_rule(gram):
+        assert code in (0, 1, 2)
+        assert field_error not in err.getvalue()
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith(field_error) and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+
 
 def main_error(capsys, argv):
     """Run cli.main in process; it must exit 1 with one `error:` line."""
@@ -323,6 +390,21 @@ class TestPythonLimits:
         err = self.run_main(capsys, ["lattice", "reduce", "--gram", f"[[{entry}, 1], [1, 2]]"])
         assert err.startswith(f"error: {where}: Exceeds the limit (4300 digits)")
         assert "value has 4400 digits" in err
+
+    @pytest.mark.parametrize(
+        "command, off_diagonal, rest",
+        [("reduce", 1, []), ("overlattices", 0, ["--index", "2"])],
+        ids=["reduce", "overlattices"],
+    )
+    def test_answer_past_digit_limit_names_gram(self, capsys, command, off_diagonal, rest):
+        # 2500-digit entries parse; the 5000-digit discriminant cannot be printed.
+        big = "4" * 2500
+        gram = json.dumps([[big, off_diagonal], [off_diagonal, big]])
+        err = self.run_main(capsys, ["lattice", command, "--gram", gram, *rest])
+        assert err == (
+            "error: --gram: the answer cannot be printed: "
+            "Exceeds the limit (4300 digits) for integer string conversion\n"
+        )
 
     def test_config_number_past_digit_limit(self, tmp_path, capsys):
         args = list(example1_args(tmp_path, lambda entries: None))

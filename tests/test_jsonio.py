@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invcycle.jsonio import (
+    _PAYLOAD_FIELDS,
+    STAGE_NAMES,
     InputError,
     ParseError,
     SchemaError,
@@ -30,6 +32,7 @@ from invcycle.jsonio import (
 )
 from invcycle.lattice import BinaryEvenForm, GramLattice
 from invcycle.pipeline import run_example
+from invcycle.transcendental import FACT_KINDS
 
 
 class TestLoadJson:
@@ -363,6 +366,20 @@ class TestAssumptions:
         }
         assert [a.stage for a in parse_assumptions(doc)] == ["Y0", "Y1"]
 
+    def test_unknown_stage_reported_at_its_entry(self):
+        # The entry after it is malformed too; parsing stops at the stage.
+        doc = {
+            "assumptions": [
+                {"name": "torsion_order", "payload": {"stage": "Z9", "order": 1}, "provenance": "p"},
+                {"name": "not_an_assumption", "provenance": "p"},
+            ]
+        }
+        with pytest.raises(SchemaError) as exc:
+            parse_assumptions(doc)
+        assert str(exc.value) == (
+            "assumptions[0].payload.stage: unknown stage 'Z9'; the stages are X, S_t, Y0, Y1, Y2"
+        )
+
 
 def stdlib_canonical(document):
     return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
@@ -462,3 +479,11 @@ class TestBundledDataFiles:
             "$ref": f"#/$defs/{key}",
         }
         jsonschema.validate(document, wrapper)
+
+
+def test_schema_enums_match_the_parser():
+    defs = load_schema()["$defs"]
+    entry = defs["assumptions"]["properties"]["assumptions"]["items"]
+    assert defs["stage"]["enum"] == list(STAGE_NAMES)
+    assert entry["properties"]["name"]["enum"] == list(_PAYLOAD_FIELDS)
+    assert defs["exclusionFact"]["properties"]["kind"]["enum"] == list(FACT_KINDS)

@@ -11,7 +11,6 @@ from invcycle.lattice import (
     BinaryEvenForm,
     DegenerateLatticeError,
     GramLattice,
-    NotDivisibleError,
     NotEvenError,
     NotPerfectSquareRatioError,
     enumerate_even_overlattices,
@@ -84,11 +83,6 @@ class TestGramLattice:
         assert A2.is_positive_definite()
         assert not GramLattice([[-2, 0], [0, 2]]).is_positive_definite()
         assert not GramLattice([[2, 3], [3, 2]]).is_positive_definite()
-
-    def test_unscale(self):
-        assert A2_SCALED.unscale(2) == A2
-        with pytest.raises(NotDivisibleError):
-            A2.unscale(2)
 
     def test_negate(self):
         neg = A2.negate()

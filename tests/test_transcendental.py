@@ -400,7 +400,7 @@ class TestShiodaInose:
         assert shioda_inose_unscale(doubled).gram == ((2, 1), (1, 2))
 
     def test_unscale_rejects_odd_entries(self):
-        with pytest.raises(NotDivisibleError):
+        with pytest.raises(NotDivisibleError, match="^entry 1 is not divisible by 2$"):
             shioda_inose_unscale(GramLattice([[2, 1], [1, 2]]))
 
 
