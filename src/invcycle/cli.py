@@ -35,13 +35,14 @@ def _parse_gram_arg(text: str):
     return parse_gram(loads_json(text, "--gram"), "--gram")
 
 
-def _write_gram_answer(build) -> int:
+def _write_answer(source: str, build) -> int:
     """Write the document build() returns.  An answer with an integer past
-    the int/str conversion limit is an error naming --gram, its source."""
+    the int/str conversion limit is an error naming source, the input it
+    came from."""
     try:
         encoded = dumps_canonical(build())
     except ValueError as exc:
-        raise _digit_limit_error("--gram: the answer cannot be printed", exc) from None
+        raise _digit_limit_error(f"{source}: the answer cannot be printed", exc) from None
     sys.stdout.write(encoded)
     return 0
 
@@ -96,7 +97,7 @@ def _cmd_lattice_reduce(args) -> int:
 
     gram = _parse_gram_arg(args.gram)
     form = reduce_binary(BinaryEvenForm.from_gram(gram))
-    return _write_gram_answer(lambda: {
+    return _write_answer("--gram", lambda: {
         "reduced": form_to_json(form),
         "coefficients": [form.a, form.b, form.c],
         "disc": form.disc,
@@ -123,7 +124,7 @@ def _cmd_lattice_overlattices(args) -> int:
 
     gram = _parse_gram_arg(args.gram)
     overs = enumerate_even_overlattices(gram, args.index)
-    return _write_gram_answer(lambda: {
+    return _write_answer("--gram", lambda: {
         "gram": gram_to_json(gram),
         "index": args.index,
         "count": len(overs),
@@ -139,14 +140,12 @@ def _cmd_basechange(args) -> int:
     config = parse_surface_config(load_json(args.config), "config")
     branch = parse_branch_spec(load_json(args.branch), "branch")
     result = quadratic_base_change(config, branch)
-    doc = {
+    return _write_answer("--config", lambda: {
         **surface_config_to_json(result.config),
         "delta": result.delta,
         "euler_before": result.euler_before,
         "euler_after": result.euler_after,
-    }
-    sys.stdout.write(dumps_canonical(doc))
-    return 0
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -226,21 +226,6 @@ class Assumption(FrozenRecord):
 
     __slots__ = ("name", "payload", "provenance", "stage", "value")
 
-    def __init__(
-        self,
-        name: str,
-        payload: dict,
-        provenance: str,
-        stage: str | None = None,
-        value: GramLattice | ExclusionFact | int | None = None,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "name", name)
-        set_field(self, "payload", payload)
-        set_field(self, "provenance", provenance)
-        set_field(self, "stage", stage)
-        set_field(self, "value", value)
-
 
 SEED_STAGE = "X"
 FAMILY_STAGE = "S_t"

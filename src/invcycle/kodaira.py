@@ -32,25 +32,6 @@ class FiberProfile(FrozenRecord):
         "odd_multiplicity_components", "contribution_denominators",
     )
 
-    def __init__(
-        self,
-        euler: int,
-        components: int,
-        root_type: str | None,
-        root_rank: int,
-        root_disc: int,
-        odd_multiplicity_components: int | None,
-        contribution_denominators: frozenset[int],
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "euler", euler)
-        set_field(self, "components", components)
-        set_field(self, "root_type", root_type)
-        set_field(self, "root_rank", root_rank)
-        set_field(self, "root_disc", root_disc)
-        set_field(self, "odd_multiplicity_components", odd_multiplicity_components)
-        set_field(self, "contribution_denominators", contribution_denominators)
-
     @property
     def root_lattice(self) -> GramLattice:
         """The negated Cartan matrix, built on demand."""

@@ -255,10 +255,15 @@ class FrozenRecord:
     Instances are equal field by field, and only to instances of the same
     class: a plain tuple never equals a record.  The hash is that of the
     field tuple, the repr is `Name(field=value, ...)`, and assigning or
-    deleting an attribute raises AttributeError.  A subclass lists its
-    fields in __slots__ and sets each in its own __init__ with
-    object.__setattr__: records built by the hundred per run, such as
-    `transcendental.ClassVerdict`, pay for no loop over the field names.
+    deleting an attribute raises AttributeError.
+
+    A subclass lists its fields in __slots__; __init__ here stores them
+    in that order, passed by position or by keyword.  It calls each slot
+    descriptor's own __set__, cached per class, which gets past the
+    raising __setattr__ without looking a name up per field: records
+    built by the hundred per op, such as `transcendental.ClassVerdict`,
+    are built by position on that path.  Only a record that checks or
+    defaults its arguments writes its own __init__.
 
     Written out because @dataclass builds its methods through exec and
     importing dataclasses loads inspect: no command loads either, and a
@@ -275,6 +280,33 @@ class FrozenRecord:
             cls._values = property(lambda self: (values(self),))
         else:
             cls._values = property(values)  # the field tuple
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values, **fields) -> None:
+        setters = self._setters
+        if fields or len(values) != len(setters):
+            values = self._arguments(values, fields)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _arguments(cls, values: tuple, fields: dict) -> tuple:
+        """The field tuple from positional and keyword arguments, with the
+        TypeError a hand-written signature would raise for a bad call."""
+        names, name = cls.__slots__, cls.__qualname__
+        if len(values) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} arguments but {len(values)} were given")
+        for field in names[:len(values)]:
+            if field in fields:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        for field in fields:
+            if field not in names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+        rest = names[len(values):]
+        for field in rest:
+            if field not in fields:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        return values + tuple(fields[field] for field in rest)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -25,13 +25,6 @@ class ShiodaTateResult(FrozenRecord):
 
     __slots__ = ("rho", "trivial_rank", "mw_rank", "trivial_disc")
 
-    def __init__(self, rho: int, trivial_rank: int, mw_rank: int, trivial_disc: int) -> None:
-        set_field = object.__setattr__
-        set_field(self, "rho", rho)
-        set_field(self, "trivial_rank", trivial_rank)
-        set_field(self, "mw_rank", mw_rank)
-        set_field(self, "trivial_disc", trivial_disc)
-
 
 def _trivial_summands(config: SurfaceConfig) -> tuple[int, int, int]:
     """One walk over the fibers: the trivial lattice's rank and
@@ -59,27 +52,11 @@ def _rank_over(trivial_rank: int, rho: int) -> int:
 
 def shioda_tate(config: SurfaceConfig, rho: int) -> ShiodaTateResult:
     trivial_rank, trivial_disc, _ = _trivial_summands(config)
-    return ShiodaTateResult(
-        rho=rho,
-        trivial_rank=trivial_rank,
-        mw_rank=_rank_over(trivial_rank, rho),
-        trivial_disc=trivial_disc,
-    )
+    return ShiodaTateResult(rho, trivial_rank, _rank_over(trivial_rank, rho), trivial_disc)
 
 
 class DiscConsistency(FrozenRecord):
     __slots__ = ("consistent", "mw_rank", "mwl_disc", "denominator_bound", "reason")
-
-    def __init__(
-        self, consistent: bool, mw_rank: int, mwl_disc: Fraction, denominator_bound: int,
-        reason: str | None,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "consistent", consistent)
-        set_field(self, "mw_rank", mw_rank)
-        set_field(self, "mwl_disc", mwl_disc)
-        set_field(self, "denominator_bound", denominator_bound)
-        set_field(self, "reason", reason)
 
 
 def check_disc_consistency(

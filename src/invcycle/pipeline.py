@@ -53,7 +53,6 @@ from .surfaces import (
 )
 from .transcendental import (
     DiscResolution,
-    ExclusionFact,
     RigidityCertificate,
     VERDICT_FAILS,
     candidate_classes,
@@ -85,29 +84,6 @@ class PipelineSpec(FrozenRecord):
         "stage_lattices", "torsion", "facts",
     )
 
-    def __init__(
-        self,
-        seed: SurfaceConfig,
-        assumptions: tuple[Assumption, ...],
-        stages: tuple[tuple[str, BranchSpec], ...],
-        flags: frozenset[str],
-        seed_lattice: Assumption | None,
-        shioda_inose: Assumption | None,
-        stage_lattices: dict[str, Assumption],
-        torsion: dict[str, Assumption],
-        facts: tuple[ExclusionFact, ...],
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "seed", seed)
-        set_field(self, "assumptions", assumptions)
-        set_field(self, "stages", stages)
-        set_field(self, "flags", flags)
-        set_field(self, "seed_lattice", seed_lattice)
-        set_field(self, "shioda_inose", shioda_inose)
-        set_field(self, "stage_lattices", stage_lattices)
-        set_field(self, "torsion", torsion)
-        set_field(self, "facts", facts)
-
 
 def build_pipeline_spec(
     seed: SurfaceConfig, family_branch: BranchSpec, assumptions: tuple[Assumption, ...]
@@ -128,15 +104,15 @@ def build_pipeline_spec(
             stages.append((f"Y{k}", BranchSpec(pair)))
     named = {a.name: a for a in assumptions}
     return PipelineSpec(
-        seed=seed,
-        assumptions=assumptions,
-        stages=tuple(stages),
-        flags=frozenset(FLAG_ASSUMPTIONS).intersection(named),
-        seed_lattice=named.get("seed_transcendental_lattice"),
-        shioda_inose=named.get("shioda_inose_cover"),
-        stage_lattices={a.stage: a for a in assumptions if a.name == "stage_transcendental_lattice"},
-        torsion={a.stage: a for a in assumptions if a.name == "torsion_order"},
-        facts=tuple(a.value for a in assumptions if a.name == "exclusion_fact"),
+        seed,
+        assumptions,
+        tuple(stages),
+        frozenset(FLAG_ASSUMPTIONS).intersection(named),
+        named.get("seed_transcendental_lattice"),
+        named.get("shioda_inose_cover"),
+        {a.stage: a for a in assumptions if a.name == "stage_transcendental_lattice"},
+        {a.stage: a for a in assumptions if a.name == "torsion_order"},
+        tuple(a.value for a in assumptions if a.name == "exclusion_fact"),
     )
 
 

@@ -73,21 +73,6 @@ class SurfaceInvariants(FrozenRecord):
 
     __slots__ = ("e", "d", "p_g", "q", "b1", "b2", "h11", "kind", "extrapolated")
 
-    def __init__(
-        self, e: int, d: int, p_g: int, q: int, b1: int, b2: int, h11: int, kind: str,
-        extrapolated: bool,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "e", e)
-        set_field(self, "d", d)
-        set_field(self, "p_g", p_g)
-        set_field(self, "q", q)
-        set_field(self, "b1", b1)
-        set_field(self, "b2", b2)
-        set_field(self, "h11", h11)
-        set_field(self, "kind", kind)
-        set_field(self, "extrapolated", extrapolated)
-
 
 def invariants(config: SurfaceConfig) -> SurfaceInvariants:
     """Numerical invariants from the Euler number and the base genus."""
@@ -111,9 +96,7 @@ def invariants(config: SurfaceConfig) -> SurfaceInvariants:
         kind = "trivial-family-abelian"
     else:
         kind = "other"
-    return SurfaceInvariants(
-        e=e, d=d, p_g=p_g, q=q, b1=b1, b2=b2, h11=h11, kind=kind, extrapolated=(d == 0)
-    )
+    return SurfaceInvariants(e, d, p_g, q, b1, b2, h11, kind, d == 0)
 
 
 class BranchSpec(FrozenRecord):
@@ -142,47 +125,9 @@ class BranchPointRecord(FrozenRecord):
 
     __slots__ = ("label", "source_token", "branched", "star", "images", "delta", "table_source")
 
-    def __init__(
-        self,
-        label: str,
-        source_token: str | None,
-        branched: bool,
-        star: bool | None,
-        images: tuple[tuple[str, str], ...],
-        delta: int,
-        table_source: str,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "label", label)
-        set_field(self, "source_token", source_token)
-        set_field(self, "branched", branched)
-        set_field(self, "star", star)
-        set_field(self, "images", images)
-        set_field(self, "delta", delta)
-        set_field(self, "table_source", table_source)
-
 
 class BaseChangeResult(FrozenRecord):
     __slots__ = ("config", "delta", "euler_before", "euler_after", "d_before", "d_after", "log")
-
-    def __init__(
-        self,
-        config: SurfaceConfig,
-        delta: int,
-        euler_before: int,
-        euler_after: int,
-        d_before: int | None,
-        d_after: int | None,
-        log: tuple[BranchPointRecord, ...],
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "config", config)
-        set_field(self, "delta", delta)
-        set_field(self, "euler_before", euler_before)
-        set_field(self, "euler_after", euler_after)
-        set_field(self, "d_before", d_before)
-        set_field(self, "d_after", d_after)
-        set_field(self, "log", log)
 
 
 def quadratic_base_change(
@@ -224,15 +169,7 @@ def quadratic_base_change(
                 new_fibers.append((label, image))
                 images = ((label, image.token),)
             log.append(
-                BranchPointRecord(
-                    label=label,
-                    source_token=f.token,
-                    branched=True,
-                    star=is_star(f),
-                    images=images,
-                    delta=d,
-                    table_source=base_change_source(f),
-                )
+                BranchPointRecord(label, f.token, True, is_star(f), images, d, base_change_source(f))
             )
         else:
             first, second = f"{label}.1", f"{label}.2"
@@ -240,27 +177,12 @@ def quadratic_base_change(
             new_fibers.append((second, f))
             log.append(
                 BranchPointRecord(
-                    label=label,
-                    source_token=f.token,
-                    branched=False,
-                    star=is_star(f),
-                    images=((first, f.token), (second, f.token)),
-                    delta=0,
-                    table_source="trivial",
+                    label, f.token, False, is_star(f), ((first, f.token), (second, f.token)), 0,
+                    "trivial",
                 )
             )
     for label in fresh:
-        log.append(
-            BranchPointRecord(
-                label=label,
-                source_token=None,
-                branched=True,
-                star=None,
-                images=(),
-                delta=0,
-                table_source="trivial",
-            )
-        )
+        log.append(BranchPointRecord(label, None, True, None, (), 0, "trivial"))
 
     new_config = SurfaceConfig(
         name=name if name is not None else f"{config.name}^(2)",
@@ -277,12 +199,4 @@ def quadratic_base_change(
         d_after = 2 * d_before - total_delta
         if invariants(new_config).d != d_after:
             raise AssertionError("defect-adjusted degree disagrees with the invariants")
-    return BaseChangeResult(
-        config=new_config,
-        delta=total_delta,
-        euler_before=e_before,
-        euler_after=e_after,
-        d_before=d_before,
-        d_after=d_after,
-        log=tuple(log),
-    )
+    return BaseChangeResult(new_config, total_delta, e_before, e_after, d_before, d_after, tuple(log))

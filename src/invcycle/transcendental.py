@@ -96,40 +96,17 @@ class ClassVerdict(FrozenRecord):
 
     __slots__ = ("form", "excluded_by", "fact_kind")
 
-    def __init__(self, form: BinaryEvenForm, excluded_by: str | None, fact_kind: str | None) -> None:
-        set_field = object.__setattr__
-        set_field(self, "form", form)
-        set_field(self, "excluded_by", excluded_by)
-        set_field(self, "fact_kind", fact_kind)
-
 
 class CandidateVerdict(FrozenRecord):
     """reason states a candidate-level exclusion (bounds, empty genus)."""
 
     __slots__ = ("alpha", "disc", "excluded", "reason", "classes")
 
-    def __init__(
-        self, alpha: int, disc: int, excluded: bool, reason: str | None,
-        classes: tuple[ClassVerdict, ...],
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "alpha", alpha)
-        set_field(self, "disc", disc)
-        set_field(self, "excluded", excluded)
-        set_field(self, "reason", reason)
-        set_field(self, "classes", classes)
-
 
 class DiscResolution(FrozenRecord):
     """surviving holds the (alpha, disc) pairs of the surviving candidates."""
 
     __slots__ = ("certificate", "surviving")
-
-    def __init__(
-        self, certificate: tuple[CandidateVerdict, ...], surviving: tuple[tuple[int, int], ...]
-    ) -> None:
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "surviving", surviving)
 
     @property
     def resolved(self) -> bool:
@@ -198,11 +175,7 @@ def resolve_disc(
         for cls in classes[disc]:
             hit = excluding.get(cls)
             class_verdicts.append(
-                ClassVerdict(
-                    form=cls,
-                    excluded_by=hit.provenance if hit else None,
-                    fact_kind=hit.kind if hit else None,
-                )
+                ClassVerdict(cls, hit.provenance if hit else None, hit.kind if hit else None)
             )
         if not class_verdicts:
             reason = "no even positive-definite binary form has this discriminant"
@@ -217,20 +190,12 @@ def resolve_disc(
         excluded = reason is not None or (
             bool(class_verdicts) and all(cv.excluded_by is not None for cv in class_verdicts)
         )
-        certificate.append(
-            CandidateVerdict(
-                alpha=alpha,
-                disc=disc,
-                excluded=excluded,
-                reason=reason,
-                classes=tuple(class_verdicts),
-            )
-        )
+        certificate.append(CandidateVerdict(alpha, disc, excluded, reason, tuple(class_verdicts)))
         if not excluded:
             surviving.append((alpha, disc))
     if not surviving:
         raise NothingSurvivesError("every discriminant candidate was excluded")
-    return DiscResolution(certificate=tuple(certificate), surviving=tuple(surviving))
+    return DiscResolution(tuple(certificate), tuple(surviving))
 
 
 def square_divisor_primes(n: int) -> dict[int, int]:
@@ -265,34 +230,9 @@ class RigidityCheck(FrozenRecord):
 
     __slots__ = ("index", "status", "detail")
 
-    def __init__(self, index: int, status: str, detail: str) -> None:
-        set_field = object.__setattr__
-        set_field(self, "index", index)
-        set_field(self, "status", status)
-        set_field(self, "detail", detail)
-
 
 class RigidityCertificate(FrozenRecord):
     __slots__ = ("lattice", "index_bound", "rigid", "checks", "witness", "witness_reduced", "conclusion")
-
-    def __init__(
-        self,
-        lattice: GramLattice,
-        index_bound: int,
-        rigid: bool,
-        checks: tuple[RigidityCheck, ...],
-        witness: GramLattice | None,
-        witness_reduced: BinaryEvenForm | None,
-        conclusion: str,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "lattice", lattice)
-        set_field(self, "index_bound", index_bound)
-        set_field(self, "rigid", rigid)
-        set_field(self, "checks", checks)
-        set_field(self, "witness", witness)
-        set_field(self, "witness_reduced", witness_reduced)
-        set_field(self, "conclusion", conclusion)
 
 
 # Largest overlattice index rigidity_transfer enumerates.
@@ -347,13 +287,13 @@ def rigidity_transfer(lattice: GramLattice) -> RigidityCertificate:
         else "a proper even overlattice exists; rigidity fails"
     )
     return RigidityCertificate(
-        lattice=lattice,
-        index_bound=RIGIDITY_INDEX_BOUND,
-        rigid=rigid,
-        checks=tuple(checks),
-        witness=witness,
-        witness_reduced=reduce_binary(BinaryEvenForm.from_gram(witness)) if witness else None,
-        conclusion=conclusion,
+        lattice,
+        RIGIDITY_INDEX_BOUND,
+        rigid,
+        tuple(checks),
+        witness,
+        reduce_binary(BinaryEvenForm.from_gram(witness)) if witness else None,
+        conclusion,
     )
 
 
@@ -369,10 +309,6 @@ def shioda_inose_unscale(lattice: GramLattice) -> GramLattice:
 class SpecializationResult(FrozenRecord):
     __slots__ = ("index", "verdict")
 
-    def __init__(self, index: int, verdict: str) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "verdict", verdict)
-
 
 def specialization_index(disc_central: int, disc_nearby: int) -> SpecializationResult:
     """Index of the specialized lattice inside the nearby one.
@@ -382,4 +318,4 @@ def specialization_index(disc_central: int, disc_nearby: int) -> SpecializationR
     """
     index = sublattice_index_from_discs(disc_central, disc_nearby)
     verdict = VERDICT_FAILS if index > 1 else VERDICT_HOLDS_POSSIBLE
-    return SpecializationResult(index=index, verdict=verdict)
+    return SpecializationResult(index, verdict)

@@ -406,6 +406,20 @@ class TestPythonLimits:
             "Exceeds the limit (4300 digits) for integer string conversion\n"
         )
 
+    def test_basechange_answer_past_digit_limit_names_config(self, tmp_path, capsys):
+        # A 4300-digit base genus parses; the cover's 4301-digit genus cannot be printed.
+        doc = json.loads(bundled_path("example1", "config.json", tmp_path).read_text())
+        doc["base_genus"] = int("9" * 4300)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        branch = tmp_path / "branch.json"
+        branch.write_text(json.dumps({"branch": ["0", "1"]}), encoding="utf-8")
+        err = self.run_main(capsys, ["basechange", "--config", str(config), "--branch", str(branch)])
+        assert err == (
+            "error: --config: the answer cannot be printed: "
+            "Exceeds the limit (4300 digits) for integer string conversion\n"
+        )
+
     def test_config_number_past_digit_limit(self, tmp_path, capsys):
         args = list(example1_args(tmp_path, lambda entries: None))
         big = tmp_path / "big.json"

@@ -17,7 +17,13 @@ import pytest
 
 from invcycle.jsonio import Assumption, parse_assumptions
 from invcycle.kodaira import FiberProfile, KodairaFiber, fiber, fiber_profile
-from invcycle.lattice import BinaryEvenForm, GramLattice, NotPositiveDefiniteError, reduce_binary
+from invcycle.lattice import (
+    BinaryEvenForm,
+    FrozenRecord,
+    GramLattice,
+    NotPositiveDefiniteError,
+    reduce_binary,
+)
 from invcycle.mordell_weil import DiscConsistency, ShiodaTateResult, check_disc_consistency, shioda_tate
 from invcycle.pipeline import PipelineSpec, Reason, build_pipeline_spec
 from invcycle.surfaces import (
@@ -79,7 +85,7 @@ def test_equal_instances_hash_equal(same, again, other, fields):
 
 def test_assumption_with_a_dict_payload_is_unhashable():
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-        hash(Assumption("picard_maximal", {}, "p"))
+        hash(Assumption("picard_maximal", {}, "p", None, None))
 
 
 @pytest.mark.parametrize("same, again, other, fields", instances())
@@ -129,7 +135,7 @@ def test_reprs():
         "FiberProfile(euler=5, components=5, root_type='A', root_rank=4, root_disc=5, "
         "odd_multiplicity_components=None, contribution_denominators=frozenset({1, 5}))"
     )
-    assert repr(Assumption("picard_maximal", {}, "p")) == (
+    assert repr(Assumption("picard_maximal", {}, "p", None, None)) == (
         "Assumption(name='picard_maximal', payload={}, provenance='p', stage=None, value=None)"
     )
 
@@ -142,8 +148,6 @@ def test_repr_in_error_text():
 
 def test_defaults():
     assert KodairaFiber("II").n is None
-    bare = Assumption("picard_maximal", {}, "p")
-    assert (bare.stage, bare.value) == (None, None)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -253,7 +257,11 @@ def pipeline_records():
 
 
 def test_every_pipeline_record_is_covered():
+    lattice_path = {type(same) for same, _again, _other, _fields in instances()}
     assert {type(record) for record, _other in pipeline_records()} == set(FIELDS)
+    assert set(FIELDS) == set(FrozenRecord.__subclasses__()) - lattice_path
+    for cls, fields in FIELDS.items():
+        assert cls.__slots__ == fields, cls.__name__
 
 
 @pytest.mark.parametrize("record, other", pipeline_records(), ids=lambda r: type(r).__name__)
@@ -370,7 +378,15 @@ def test_pipeline_records_missing_and_unknown_arguments():
         Reason()
     with pytest.raises(TypeError):
         ClassVerdict(A2, None)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^SpecializationResult\(\) got an unexpected keyword argument 'extra'$"):
         SpecializationResult(1, "v", extra=0)
     with pytest.raises(TypeError):
         BranchSpec()
+    # SpecializationResult takes FrozenRecord's constructor, which names
+    # the record and the field as a hand-written signature does.
+    with pytest.raises(TypeError, match=r"^SpecializationResult\(\) missing argument 'verdict'$"):
+        SpecializationResult(index=1)
+    with pytest.raises(TypeError, match=r"^SpecializationResult\(\) got multiple values for argument 'index'$"):
+        SpecializationResult(1, index=1)
+    with pytest.raises(TypeError, match=r"^SpecializationResult\(\) takes 2 arguments but 3 were given$"):
+        SpecializationResult(1, "v", 0)
