@@ -35,24 +35,37 @@ def _parse_gram_arg(text: str):
     return parse_gram(loads_json(text, "--gram"), "--gram")
 
 
-def _write_answer(source: str, build) -> int:
-    """Write the document build() returns.  An answer with an integer past
-    the int/str conversion limit is an error naming source, the input it
-    came from."""
+def _printable(source: str, what: str, build):
+    """What build() returns.  An integer past the int/str conversion limit
+    is an error naming source, the input it came from; CPython raises it
+    as a plain ValueError whose message starts "Exceeds the limit", and
+    every other error passes through unchanged."""
     try:
-        encoded = dumps_canonical(build())
+        return build()
     except ValueError as exc:
-        raise _digit_limit_error(f"{source}: the answer cannot be printed", exc) from None
-    sys.stdout.write(encoded)
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+        raise _digit_limit_error(f"{source}: the {what} cannot be printed", exc) from None
+
+
+def _write_answer(source: str, build) -> int:
+    """Write the document build() returns."""
+    sys.stdout.write(_printable(source, "answer", lambda: dumps_canonical(build())))
     return 0
 
 
-def _emit_report(report: dict, args) -> int:
+def _emit_report(run, args) -> int:
     from .pipeline import render_text, report_exit_code, report_to_json
 
-    # Encoded once: stdout, --json PATH and --out get the same string.
-    encoded = report_to_json(report) if args.json is not None or args.out else None
-    sys.stdout.write(encoded if args.json is not None else render_text(report))
+    def build():
+        report = run()
+        # Encoded once: stdout, --json PATH and --out get the same string.
+        encoded = report_to_json(report) if args.json is not None or args.out else None
+        return report, encoded, encoded if args.json is not None else render_text(report)
+
+    # Only a custom ledger can hold numbers past the limit.
+    report, encoded, shown = _printable("--assumptions", "report", build)
+    sys.stdout.write(shown)
     if isinstance(args.json, str):
         Path(args.json).write_text(encoded, encoding="utf-8")
     if args.out:
@@ -63,13 +76,14 @@ def _emit_report(report: dict, args) -> int:
 def _cmd_example(args) -> int:
     from .pipeline import run_example
 
-    return _emit_report(run_example(args.number), args)
+    return _emit_report(lambda: run_example(args.number), args)
 
 
 def _cmd_custom(args) -> int:
-    from .pipeline import run_custom
+    from .pipeline import load_pipeline_files, run_pipeline
 
-    return _emit_report(run_custom(args.config, args.branch, args.assumptions), args)
+    spec = load_pipeline_files(args.config, args.branch, args.assumptions)
+    return _emit_report(lambda: run_pipeline(spec), args)
 
 
 def _cmd_fiber(args) -> int:

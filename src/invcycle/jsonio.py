@@ -221,7 +221,8 @@ class Assumption(FrozenRecord):
     """One declared assumption: the payload as written and its parsed value.
 
     stage is set for shioda_inose_cover and the per-stage assumptions;
-    value is the declared lattice, exclusion fact or torsion order.
+    value is the declared lattice as a BinaryEvenForm, the exclusion fact
+    or the torsion order.
     """
 
     __slots__ = ("name", "payload", "provenance", "stage", "value")
@@ -279,8 +280,8 @@ def parse_assumptions(obj: Any, where: str = "assumptions") -> tuple[Assumption,
     seed_at = first_at.get("seed_transcendental_lattice")
     if seed_at is not None and "shioda_inose_cover" in first_at:
         # The cover halves the seed form; the half must be even again.
-        gram = out[seed_at].value.gram
-        if gram[0][0] % 4 or gram[1][1] % 4:
+        form = out[seed_at].value
+        if form.a % 2 or form.c % 2:
             raise SchemaError(
                 f"{where}[{seed_at}].payload.gram: with a shioda_inose_cover the seed "
                 "lattice must be twice an even lattice (diagonal entries divisible by 4)"
@@ -300,29 +301,25 @@ def _parse_payload(name: str, payload: dict, where: str) -> tuple[str | None, An
         )
     value = None
     if "gram" in fields:
-        value = parse_gram(_require(payload, "gram", list, where), f"{where}.gram")
-        if name == "seed_transcendental_lattice":
-            # disc % 4 == 0 keeps every double-cover discriminant candidate integral.
-            if not (
-                value.rank == 2 and value.is_even() and value.is_positive_definite()
-                and (disc := value.disc()) % 4 == 0
-            ):
-                raise SchemaError(
-                    f"{where}.gram: the seed lattice must have rank 2 and be even and positive "
-                    "definite, with discriminant divisible by 4"
-                )
-            # The largest candidate, 4 disc, has its classes enumerated; the
-            # limit also bounds the rigidity search on the halved seed.
-            if 4 * disc > MAX_CLASS_DISC:
-                raise SchemaError(
-                    f"{where}.gram: the discriminant candidate {4 * disc} "
-                    f"exceeds the class-enumeration limit {MAX_CLASS_DISC}"
-                )
-        elif value.det() == 0:
-            raise SchemaError(f"{where}.gram: the lattice must be nondegenerate, its determinant is zero")
-        elif not (value.rank == 2 and value.is_even() and value.is_positive_definite()):
+        # Every transcendental lattice is a rank-2, even, positive-definite
+        # binary form; past this point only the form is used.
+        at, seed = f"{where}.gram", name == "seed_transcendental_lattice"
+        lattice = parse_gram(_require(payload, "gram", list, where), at)
+        if not seed and lattice.det() == 0:
+            raise SchemaError(f"{at}: the lattice must be nondegenerate, its determinant is zero")
+        value = BinaryEvenForm.from_gram(lattice) if lattice.rank == 2 and lattice.is_even() else None
+        # disc % 4 == 0 keeps every double-cover discriminant candidate integral.
+        if value is None or not value.is_positive_definite() or (seed and value.disc % 4):
             raise SchemaError(
-                f"{where}.gram: the stage lattice must have rank 2 and be even and positive definite"
+                f"{at}: the {'seed' if seed else 'stage'} lattice must have rank 2 and be even and "
+                "positive definite" + (", with discriminant divisible by 4" if seed else "")
+            )
+        # The largest candidate, 4 disc, has its classes enumerated; the
+        # limit also bounds the rigidity search on the halved seed.
+        if seed and 4 * value.disc > MAX_CLASS_DISC:
+            raise SchemaError(
+                f"{at}: the discriminant candidate {4 * value.disc} "
+                f"exceeds the class-enumeration limit {MAX_CLASS_DISC}"
             )
     if "order" in fields:
         value = _require(payload, "order", int, where)

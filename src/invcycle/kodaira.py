@@ -88,8 +88,7 @@ class KodairaFiber(FrozenRecord):
                 raise ValueError(f"{kind} fiber takes no parameter")
         else:
             raise ValueError(f"unknown fiber kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
+        super().__init__(kind, n)
 
     @property
     def token(self) -> str:

@@ -85,14 +85,6 @@ class GramLattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def is_positive_definite(self) -> bool:
-        # Sylvester: all leading principal minors positive.
-        for k in range(1, self.rank + 1):
-            minor = _det_bareiss([list(row[:k]) for row in self.gram[:k]])
-            if minor <= 0:
-                return False
-        return True
-
     def negate(self) -> "GramLattice":
         return GramLattice([[-x for x in row] for row in self.gram])
 
@@ -263,7 +255,8 @@ class FrozenRecord:
     raising __setattr__ without looking a name up per field: records
     built by the hundred per op, such as `transcendental.ClassVerdict`,
     are built by position on that path.  Only a record that checks or
-    defaults its arguments writes its own __init__.
+    defaults its arguments writes its own __init__, which ends in
+    super().__init__(...).
 
     Written out because @dataclass builds its methods through exec and
     importing dataclasses loads inspect: no command loads either, and a
@@ -341,9 +334,7 @@ class BinaryEvenForm(FrozenRecord):
     def __init__(self, a: int, b: int, c: int) -> None:
         for x in (a, b, c):
             _check_int(x)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        super().__init__(a, b, c)
 
     @property
     def disc(self) -> int:

@@ -33,7 +33,6 @@ from .jsonio import (
     dumps_canonical,
     exclusion_fact_to_json,
     form_to_json,
-    gram_to_json,
     load_json,
     parse_assumptions,
     parse_branch_spec,
@@ -126,8 +125,7 @@ class Reason(FrozenRecord):
     __slots__ = ("note", "conditional")
 
     def __init__(self, note: str | None, conditional: bool = True) -> None:
-        object.__setattr__(self, "note", note)
-        object.__setattr__(self, "conditional", conditional)
+        super().__init__(note, conditional)
 
 
 # Stage name -> (its central discriminants, where they come from).
@@ -216,7 +214,7 @@ def _resolution_json(resolution: DiscResolution) -> dict:
 
 def _rigidity_json(cert: RigidityCertificate) -> dict:
     out: dict[str, Any] = {
-        "lattice": gram_to_json(cert.lattice),
+        "lattice": form_to_json(cert.lattice),
         "index_bound": tagged(cert.index_bound, "derived"),
         "rigid": cert.rigid,
         "checks": [
@@ -225,7 +223,7 @@ def _rigidity_json(cert: RigidityCertificate) -> dict:
         "conclusion": cert.conclusion,
     }
     if cert.witness is not None:
-        out["witness"] = gram_to_json(cert.witness)
+        out["witness"] = form_to_json(cert.witness)
         out["witness_reduced"] = form_to_json(cert.witness_reduced)
     return out
 
@@ -244,8 +242,8 @@ def _seed_stage(spec: PipelineSpec, inv: SurfaceInvariants) -> tuple[dict, list[
     if spec.seed_lattice is not None:
         t_x = spec.seed_lattice.value
         record["transcendental"] = {
-            "gram": gram_to_json(t_x),
-            "disc": tagged(t_x.disc(), "assumed"),
+            "gram": form_to_json(t_x),
+            "disc": tagged(t_x.disc, "assumed"),
             "provenance": spec.seed_lattice.provenance,
         }
     return record, reasons
@@ -302,12 +300,12 @@ def _shioda_inose_stage(
         reason = Reason("no usable Shioda-Inose cover stage: nearby lattice not determined")
         return {}, [reason], {}, None
     t_si = shioda_inose_unscale(spec.seed_lattice.value)
-    disc = t_si.disc()
+    disc = t_si.disc
     rigidity = rigidity_transfer(t_si)
     record: dict[str, Any] = {
         "shioda_inose": {
             "stage": si.stage,
-            "gram": gram_to_json(t_si),
+            "gram": form_to_json(t_si),
             "disc": tagged(disc, "derived"),
             "provenance": si.provenance,
         },
@@ -321,7 +319,7 @@ def _shioda_inose_stage(
         )
         return record, [reason], pinned, None
     record["nearby_lattice"] = {
-        "gram": gram_to_json(t_si),
+        "gram": form_to_json(t_si),
         "disc": tagged(disc, "derived"),
         "conclusion": (
             "the nearby transcendental lattice contains the quotient lattice "
@@ -342,10 +340,10 @@ def _assumed_lattices(
     pinned: CentralDiscs = {}
     for stage, a in sorted(spec.stage_lattices.items()):
         if stage in surfaces:
-            disc = a.value.disc()
+            disc = a.value.disc
             entries.append({
                 "stage": stage,
-                "gram": gram_to_json(a.value),
+                "gram": form_to_json(a.value),
                 "disc": tagged(disc, "assumed"),
                 "provenance": a.provenance,
             })
@@ -505,12 +503,12 @@ def run_pipeline(spec: PipelineSpec) -> dict:
         reasons.append(Reason("no seed transcendental lattice assumption: lattice analysis skipped"))
     else:
         t_x = spec.seed_lattice.value
-        candidates = double_cover_disc_candidates(t_x.disc())
+        candidates = double_cover_disc_candidates(t_x.disc)
         analysis["candidates"] = {
-            "disc_seed": tagged(t_x.disc(), "assumed"),
+            "disc_seed": tagged(t_x.disc, "assumed"),
             "list": [{"alpha": a, "disc": tagged(d, "derived")} for a, d in candidates],
         }
-        pinned[SEED_STAGE] = ([t_x.disc()], "assumption")
+        pinned[SEED_STAGE] = ([t_x.disc], "assumption")
 
         def take(record: dict, new: list[Reason], more: CentralDiscs | None = None) -> None:
             analysis.update(record)

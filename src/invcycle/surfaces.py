@@ -52,10 +52,7 @@ class SurfaceConfig(FrozenRecord):
         labels = [label for label, _ in fibers]
         if len(set(labels)) != len(labels):
             raise SurfaceError("fiber labels must be distinct")
-        set_field = object.__setattr__
-        set_field(self, "name", name)
-        set_field(self, "base_genus", base_genus)
-        set_field(self, "fibers", fibers)
+        super().__init__(name, base_genus, fibers)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.fibers)
@@ -109,7 +106,7 @@ class BranchSpec(FrozenRecord):
             raise OddBranchCountError(
                 f"branch locus has {len(labels)} points; an even count is required"
             )
-        object.__setattr__(self, "labels", labels)
+        super().__init__(labels)
 
     def sorted_labels(self) -> tuple[str, ...]:
         return tuple(sorted(self.labels))

@@ -1,11 +1,12 @@
 """Transcendental-lattice discriminant analysis for double covers.
 
-A degree-2 cover with rank-2 transcendental lattices leaves the covered
-surface's discriminant determined only up to a power of 4; candidates
-are cut down by externally supplied exclusion facts, never by geometry
-recomputed here.  Rigidity certificates and specialization indices turn
-the surviving discriminants into a verdict about integral invariant
-cycle lifting.
+Every transcendental lattice here is a rank-2, even, positive-definite
+binary form, a `BinaryEvenForm`; `jsonio` checks that once when it parses
+the ledger.  A degree-2 cover leaves the covered surface's discriminant
+determined only up to a power of 4; candidates are cut down by
+externally supplied exclusion facts, never by geometry recomputed here.
+Rigidity certificates and specialization indices turn the surviving
+discriminants into a verdict about integral invariant cycle lifting.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import math
 from .lattice import (
     BinaryEvenForm,
     FrozenRecord,
-    GramLattice,
     NotDivisibleError,
-    NotEvenError,
     NotPositiveDefiniteError,
     enumerate_even_overlattices,
     enumerate_even_posdef_binary,
@@ -31,10 +30,6 @@ VERDICT_FAILS = "LICT_fails"
 VERDICT_HOLDS_POSSIBLE = "LICT_holds_possible"
 
 FACT_KINDS = ("not_isomorphic_to", "no_fibration_with_fibers", "denominator_bound")
-
-
-class UnsupportedRankError(ValueError):
-    """The analysis is implemented for rank-2 transcendental lattices only."""
 
 
 class NothingSurvivesError(ValueError):
@@ -69,11 +64,7 @@ class ExclusionFact(FrozenRecord):
                 raise ValueError(f"{kind} fact requires a form")
         if kind == "no_fibration_with_fibers" and fibers is None:
             raise ValueError("no_fibration_with_fibers fact requires a fiber list")
-        set_field = object.__setattr__
-        set_field(self, "kind", kind)
-        set_field(self, "form", form)
-        set_field(self, "fibers", fibers)
-        set_field(self, "provenance", provenance)
+        super().__init__(kind, form, fibers, provenance)
 
 
 def double_cover_disc_candidates(disc_tx: int) -> list[tuple[int, int]]:
@@ -239,21 +230,21 @@ class RigidityCertificate(FrozenRecord):
 RIGIDITY_INDEX_BOUND = 10
 
 
-def rigidity_transfer(lattice: GramLattice) -> RigidityCertificate:
-    """Certify that an even lattice admits no proper even overlattice.
+def rigidity_transfer(form: BinaryEvenForm) -> RigidityCertificate:
+    """Certify that a positive-definite even binary form admits no proper
+    even overlattice.
 
-    Index m is impossible unless m^2 divides |det|, so the determinant
-    arithmetic disposes of most indices and exhaustive enumeration
-    handles the rest, up to RIGIDITY_INDEX_BOUND.  Finding an
-    overlattice is a refutation result, not an error.
+    Index m is impossible unless m^2 divides the discriminant, so that
+    arithmetic disposes of most indices and exhaustive enumeration of
+    the form's Gram lattice handles the rest, up to RIGIDITY_INDEX_BOUND.
+    The certificate holds the form and, when one is found, the first
+    overlattice as a form.  Finding an overlattice is a refutation
+    result, not an error.
     """
-    if lattice.rank != 2:
-        raise UnsupportedRankError("rigidity transfer is implemented for rank 2 only")
-    if not lattice.is_even():
-        raise NotEvenError("rigidity transfer needs an even lattice")
-    if not lattice.is_positive_definite():
+    if not form.is_positive_definite():
         raise NotPositiveDefiniteError("rigidity transfer needs a positive-definite lattice")
-    disc = lattice.disc()
+    disc = form.disc
+    lattice = form.gram()
     checks = []
     witness = None
     for m in range(2, RIGIDITY_INDEX_BOUND + 1):
@@ -268,7 +259,7 @@ def rigidity_transfer(lattice: GramLattice) -> RigidityCertificate:
                 RigidityCheck(m, "found", f"{len(found)} even overlattice(s) at index {m}")
             )
             if witness is None:
-                witness = found[0]
+                witness = BinaryEvenForm.from_gram(found[0])
         else:
             checks.append(
                 RigidityCheck(m, "enumerated-empty", f"no even overlattice of index {m}")
@@ -287,23 +278,25 @@ def rigidity_transfer(lattice: GramLattice) -> RigidityCertificate:
         else "a proper even overlattice exists; rigidity fails"
     )
     return RigidityCertificate(
-        lattice,
+        form,
         RIGIDITY_INDEX_BOUND,
         rigid,
         tuple(checks),
         witness,
-        reduce_binary(BinaryEvenForm.from_gram(witness)) if witness else None,
+        reduce_binary(witness) if witness else None,
         conclusion,
     )
 
 
-def shioda_inose_unscale(lattice: GramLattice) -> GramLattice:
-    """Transcendental lattice of the degree-2 quotient: halve the pairing."""
-    for row in lattice.gram:
-        for x in row:
-            if x % 2:
-                raise NotDivisibleError(f"entry {x} is not divisible by 2")
-    return GramLattice([[x // 2 for x in row] for row in lattice.gram])
+def shioda_inose_unscale(form: BinaryEvenForm) -> BinaryEvenForm:
+    """Transcendental form of the degree-2 quotient: halve the pairing.
+
+    The halved pairing is an even form exactly when a, b and c are even.
+    """
+    for x in (form.a, form.b, form.c):
+        if x % 2:
+            raise NotDivisibleError(f"entry {x} is not divisible by 2")
+    return BinaryEvenForm(form.a // 2, form.b // 2, form.c // 2)
 
 
 class SpecializationResult(FrozenRecord):

@@ -204,7 +204,7 @@ def test_criterion_06_discriminant_resolution_end_to_end():
 
 def test_criterion_07_rigidity_and_specialization():
     with criterion(7, "rigidity certificate and specialization indices"):
-        assert rigidity_transfer(root_gram("A", 2)).rigid
+        assert rigidity_transfer(BinaryEvenForm.from_gram(root_gram("A", 2))).rigid
         jump = specialization_index(48, 3)
         assert jump.index == 4
         assert jump.verdict == VERDICT_FAILS
@@ -226,8 +226,8 @@ def test_criterion_08_second_pipeline():
         assert multiset(st.config) == ["I2", "I2", "IV*"]
         assert st.config.base_genus == 1
 
-        quotient = shioda_inose_unscale(GramLattice([[4, 0], [0, 4]]))
-        assert quotient.gram == ((2, 0), (0, 2))  # A1 + A1
+        quotient = shioda_inose_unscale(BinaryEvenForm(2, 0, 2))
+        assert quotient.gram().gram == ((2, 0), (0, 2))  # A1 + A1
         assert rigidity_transfer(quotient).rigid
 
         report = run_example(2)

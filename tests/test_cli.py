@@ -276,6 +276,20 @@ class TestInProcess:
             f"{16 * p * q} exceeds the class-enumeration limit 1000000000000\n"
         )
 
+    def test_every_candidate_excluded_is_an_error(self, tmp_path, capsys):
+        from invcycle.jsonio import form_to_json
+        from invcycle.lattice import enumerate_even_posdef_binary
+
+        def edit(entries):
+            # The seed [[4, 2], [2, 4]] has disc 12: candidates 3, 12 and 48.
+            for disc in (3, 12, 48):
+                for form in enumerate_even_posdef_binary(disc):
+                    fact = {"kind": "not_isomorphic_to", "form": form_to_json(form), "provenance": "p"}
+                    entries.append({"name": "exclusion_fact", "payload": fact, "provenance": "p"})
+
+        err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
+        assert err == "error: every discriminant candidate was excluded\n"
+
     def test_degenerate_stage_lattice_names_the_field(self, tmp_path, capsys):
         def edit(entries):
             first(entries, "stage_transcendental_lattice")["payload"]["gram"] = [[0, 0], [0, 0]]
@@ -362,6 +376,17 @@ def main_error(capsys, argv):
     return err
 
 
+def huge_torsion_order(entries):
+    """A 2201-digit order parses; the Mordell-Weil discriminant built from it cannot be printed."""
+    first(entries, "torsion_order")["payload"]["order"] = 10**2200
+
+
+def huge_stage_lattice(entries):
+    """4001-digit entries parse; the 8002-digit discriminant cannot be printed."""
+    big = "2" + "0" * 4000
+    first(entries, "stage_transcendental_lattice")["payload"]["gram"] = [[big, "0"], ["0", big]]
+
+
 class TestPythonLimits:
     """Documents past Python's JSON nesting or int/str digit limits end in
     one `error:` line naming the argument or file, run in process."""
@@ -417,6 +442,15 @@ class TestPythonLimits:
         err = self.run_main(capsys, ["basechange", "--config", str(config), "--branch", str(branch)])
         assert err == (
             "error: --config: the answer cannot be printed: "
+            "Exceeds the limit (4300 digits) for integer string conversion\n"
+        )
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("edit", [huge_torsion_order, huge_stage_lattice])
+    def test_report_past_digit_limit_names_assumptions(self, tmp_path, capsys, edit, mode):
+        err = self.run_main(capsys, ["custom", *example1_args(tmp_path, edit), *mode])
+        assert err == (
+            "error: --assumptions: the report cannot be printed: "
             "Exceeds the limit (4300 digits) for integer string conversion\n"
         )
 

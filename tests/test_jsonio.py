@@ -311,12 +311,12 @@ class TestAssumptions:
         (picard,) = by_name["picard_maximal"]
         assert (picard.stage, picard.value) == (None, None)
         (seed,) = by_name["seed_transcendental_lattice"]
-        assert seed.value == GramLattice([[4, 2], [2, 4]])
+        assert seed.value == BinaryEvenForm(2, 2, 2)
         assert seed.payload == {"gram": [[4, 2], [2, 4]]}
         (si,) = by_name["shioda_inose_cover"]
         assert (si.stage, si.value) == ("Y0", None)
         (lattice,) = by_name["stage_transcendental_lattice"]
-        assert (lattice.stage, lattice.value) == ("Y1", GramLattice([[2, 1], [1, 2]]))
+        assert (lattice.stage, lattice.value) == ("Y1", BinaryEvenForm(1, 1, 1))
         assert [(a.stage, a.value) for a in by_name["torsion_order"]] == [
             ("X", 1), ("S_t", 1), ("Y0", 1), ("Y1", 3), ("Y2", 1)
         ]

@@ -80,9 +80,10 @@ class TestGramLattice:
     def test_even_and_posdef(self):
         assert A2.is_even()
         assert not GramLattice([[1, 0], [0, 2]]).is_even()
-        assert A2.is_positive_definite()
-        assert not GramLattice([[-2, 0], [0, 2]]).is_positive_definite()
-        assert not GramLattice([[2, 3], [3, 2]]).is_positive_definite()
+        # Positive definiteness is a property of the binary form.
+        assert BinaryEvenForm.from_gram(A2).is_positive_definite()
+        assert not BinaryEvenForm.from_gram(GramLattice([[-2, 0], [0, 2]])).is_positive_definite()
+        assert not BinaryEvenForm.from_gram(GramLattice([[2, 3], [3, 2]])).is_positive_definite()
 
     def test_negate(self):
         neg = A2.negate()
@@ -122,7 +123,9 @@ class TestRootLattices:
         assert lattice.rank == rank
         assert lattice.det() == det
         assert lattice.is_even()
-        assert lattice.is_positive_definite()
+        # Sylvester: every leading principal minor is positive.
+        for k in range(1, rank + 1):
+            assert det_permutation_expansion([row[:k] for row in lattice.gram[:k]]) > 0
 
     def test_invalid_ranks(self):
         with pytest.raises(ValueError):

@@ -501,6 +501,46 @@ class TestParseOnce:
         assert str(exc.value).startswith(f"assumptions[{len(entries) - 1}]: ")
 
 
+class TestParseBoundary:
+    """A Gram may be written with JSON integers, decimal strings or
+    "+"-signed strings; past the parser only its binary form is left."""
+
+    @pytest.mark.parametrize(
+        "name, report_gram",
+        [
+            ("seed_transcendental_lattice", lambda r: r["seed"]["transcendental"]["gram"]),
+            ("stage_transcendental_lattice", lambda r: r["analysis"]["assumed_stage_lattices"][0]["gram"]),
+        ],
+        ids=["seed", "stage"],
+    )
+    def test_every_spelling_gives_one_form_and_one_report(self, name, report_gram):
+        config, branch, assumptions = docs("example1")
+        at = next(i for i, a in enumerate(assumptions["assumptions"]) if a["name"] == name)
+        gram = assumptions["assumptions"][at]["payload"]["gram"]
+        spellings = [
+            gram,
+            [[str(x) for x in row] for row in gram],
+            [[f"+{x}" for x in row] for row in gram],
+        ]
+        forms, reports = [], []
+        for spelling in spellings:
+            assumptions["assumptions"][at]["payload"]["gram"] = spelling
+            parsed = jsonio.parse_assumptions(assumptions)
+            forms.append(parsed[at].value)
+            report = run_pipeline(build_pipeline_spec(
+                parse_surface_config(config), parse_branch_spec(branch), parsed
+            ))
+            assert report["assumption_ledger"][at]["payload"]["gram"] == spelling
+            reports.append(report)
+        assert all(isinstance(form, lattice.BinaryEvenForm) for form in forms)
+        assert forms[0] == forms[1] == forms[2]
+        assert report_gram(reports[0]) == [[str(x) for x in row] for row in gram]
+        assert report_gram(reports[0]) == report_gram(reports[1]) == report_gram(reports[2])
+        for report in reports:
+            del report["assumption_ledger"]
+        assert reports[0] == reports[1] == reports[2]
+
+
 class TestRenderingBuildsNoLattice:
     """Each class form in a resolution certificate is rendered from its
     coefficients, so the number of Gram lattices a run builds does not

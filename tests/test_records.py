@@ -20,7 +20,6 @@ from invcycle.kodaira import FiberProfile, KodairaFiber, fiber, fiber_profile
 from invcycle.lattice import (
     BinaryEvenForm,
     FrozenRecord,
-    GramLattice,
     NotPositiveDefiniteError,
     reduce_binary,
 )
@@ -234,7 +233,7 @@ def pipeline_records():
     fact = ExclusionFact("not_isomorphic_to", A2, None, "p")
     verdict = ClassVerdict(A2, "p", "not_isomorphic_to")
     candidate = CandidateVerdict(0, 3, True, None, (verdict,))
-    rigid = rigidity_transfer(GramLattice([[2, 1], [1, 2]]))
+    rigid = rigidity_transfer(A2)
     check = check_disc_consistency(SEED, 12, 20, 1)
     return [
         (spec, build_pipeline_spec(SEED, BRANCH, ())),
@@ -249,7 +248,7 @@ def pipeline_records():
         (candidate, CandidateVerdict(0, 3, False, None, ())),
         (DiscResolution((candidate,), ()), DiscResolution((candidate,), ((0, 3),))),
         (rigid.checks[0], rigid.checks[1]),
-        (rigid, rigidity_transfer(GramLattice([[4, 0], [0, 4]]))),
+        (rigid, rigidity_transfer(BinaryEvenForm(2, 0, 2))),
         (specialization_index(12, 3), specialization_index(3, 3)),
         (shioda_tate(SEED, 20), shioda_tate(SEED, 21)),
         (check, check_disc_consistency(SEED, 3, 20, 1)),

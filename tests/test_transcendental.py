@@ -12,7 +12,6 @@ from invcycle.lattice import (
     BinaryEvenForm,
     GramLattice,
     NotDivisibleError,
-    NotEvenError,
     NotPerfectSquareRatioError,
     NotPositiveDefiniteError,
     reduce_binary,
@@ -24,7 +23,6 @@ from invcycle.transcendental import (
     VERDICT_HOLDS_POSSIBLE,
     ExclusionFact,
     NothingSurvivesError,
-    UnsupportedRankError,
     candidate_classes,
     double_cover_disc_candidates,
     resolve_disc,
@@ -272,7 +270,7 @@ class TestResolveDisc:
 
 class TestRigidity:
     def test_a2_is_rigid(self):
-        cert = rigidity_transfer(root_gram("A", 2))
+        cert = rigidity_transfer(BinaryEvenForm.from_gram(root_gram("A", 2)))
         assert cert.rigid
         assert cert.witness is None
         statuses = {c.index: c.status for c in cert.checks}
@@ -280,7 +278,7 @@ class TestRigidity:
         assert all(s == "determinant-excluded" for s in statuses.values())
 
     def test_diag22_is_rigid(self):
-        cert = rigidity_transfer(GramLattice([[2, 0], [0, 2]]))
+        cert = rigidity_transfer(BinaryEvenForm(1, 0, 1))
         assert cert.rigid
         assert {c.index: c.status for c in cert.checks} == {
             m: ("enumerated-empty" if m == 2 else "determinant-excluded")
@@ -288,7 +286,7 @@ class TestRigidity:
         }
 
     def test_diag44_is_not_rigid(self):
-        cert = rigidity_transfer(GramLattice([[4, 0], [0, 4]]))
+        cert = rigidity_transfer(BinaryEvenForm(2, 0, 2))
         assert not cert.rigid
         assert cert.witness is not None
         assert cert.witness_reduced == BinaryEvenForm(1, 0, 1)
@@ -296,12 +294,12 @@ class TestRigidity:
         assert [c.index for c in found] == [2]
 
     def test_a2_scaled_3_not_rigid(self):
-        cert = rigidity_transfer(GramLattice([[6, 3], [3, 6]]))
+        cert = rigidity_transfer(BinaryEvenForm(3, 3, 3))
         assert not cert.rigid
-        assert reduce_binary(BinaryEvenForm.from_gram(cert.witness)) == BinaryEvenForm(1, 1, 1)
+        assert reduce_binary(cert.witness) == BinaryEvenForm(1, 1, 1)
 
     def test_bound_must_cover_admissible_indices(self):
-        big = GramLattice([[2, 0], [0, 2 * 11 * 11]])
+        big = BinaryEvenForm(1, 0, 11 * 11)
         with pytest.raises(ValueError):
             rigidity_transfer(big)
 
@@ -315,19 +313,15 @@ class TestRigidity:
     )
     def test_uncovered_index_message(self, gram, largest):
         with pytest.raises(ValueError) as excinfo:
-            rigidity_transfer(GramLattice(gram))
+            rigidity_transfer(BinaryEvenForm.from_gram(GramLattice(gram)))
         assert str(excinfo.value) == (
             "index bound 10 does not cover all determinant-admissible indices "
             f"up to {largest}"
         )
 
     def test_input_validation(self):
-        with pytest.raises(UnsupportedRankError):
-            rigidity_transfer(root_gram("E", 8))
-        with pytest.raises(NotEvenError):
-            rigidity_transfer(GramLattice([[1, 0], [0, 2]]))
         with pytest.raises(NotPositiveDefiniteError):
-            rigidity_transfer(GramLattice([[2, 0], [0, -2]]))
+            rigidity_transfer(BinaryEvenForm(1, 0, -1))
 
 
 def largest_square_root(n):
@@ -389,19 +383,19 @@ class TestSquareDivisors:
 
     def test_large_disc_rigidity(self):
         # 2 s with the scan up to isqrt(disc); now a trial division to disc^(1/3).
-        assert rigidity_transfer(GramLattice([[2, 1], [1, 10**14]])).rigid
+        assert rigidity_transfer(BinaryEvenForm(1, 1, 10**14 // 2)).rigid
         with pytest.raises(ValueError, match="indices up to 9999991$"):
-            rigidity_transfer(GramLattice([[2, 1], [1, (3 * 9999991**2 + 1) // 2]]))
+            rigidity_transfer(BinaryEvenForm(1, 1, (3 * 9999991**2 + 1) // 4))
 
 
 class TestShiodaInose:
     def test_unscale(self):
-        doubled = GramLattice([[4, 2], [2, 4]])
-        assert shioda_inose_unscale(doubled).gram == ((2, 1), (1, 2))
+        doubled = BinaryEvenForm(2, 2, 2)
+        assert shioda_inose_unscale(doubled).gram().gram == ((2, 1), (1, 2))
 
     def test_unscale_rejects_odd_entries(self):
         with pytest.raises(NotDivisibleError, match="^entry 1 is not divisible by 2$"):
-            shioda_inose_unscale(GramLattice([[2, 1], [1, 2]]))
+            shioda_inose_unscale(BinaryEvenForm(1, 1, 1))
 
 
 class TestSpecialization:
