@@ -134,10 +134,13 @@ def _cmd_lattice_enumerate(args) -> int:
 
 
 def _cmd_lattice_overlattices(args) -> int:
-    from .lattice import enumerate_even_overlattices
+    from .lattice import OverlatticeIndexError, enumerate_even_overlattices
 
     gram = _parse_gram_arg(args.gram)
-    overs = enumerate_even_overlattices(gram, args.index)
+    try:
+        overs = enumerate_even_overlattices(gram, args.index)
+    except OverlatticeIndexError as exc:
+        raise InputError(f"--index: {exc}") from None
     return _write_answer("--gram", lambda: {
         "gram": gram_to_json(gram),
         "index": args.index,

@@ -301,7 +301,11 @@ def _shioda_inose_stage(
         return {}, [reason], {}, None
     t_si = shioda_inose_unscale(spec.seed_lattice.value)
     disc = t_si.disc
-    rigidity = rigidity_transfer(t_si)
+    try:
+        rigidity = rigidity_transfer(t_si)
+    except ValueError as exc:  # the index bound misses a square factor of disc(t_si)
+        at = spec.assumptions.index(spec.seed_lattice)
+        raise SchemaError(f"assumptions[{at}].payload.gram: {exc}") from None
     record: dict[str, Any] = {
         "shioda_inose": {
             "stage": si.stage,

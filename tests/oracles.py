@@ -2,9 +2,10 @@
 
 Each oracle recomputes a result by a different route than the library:
 theta-fingerprint class separation instead of Gauss reduction, dual-coset
-subgroup search instead of HNF gluing, permutation-expansion determinants
-instead of fraction-free elimination.  Tests freeze oracle outputs or
-compare them directly against library results.
+and closure-grown isotropic subgroups instead of a Hermite-form search,
+permutation-expansion determinants instead of fraction-free elimination.
+Tests freeze oracle outputs or compare them directly against library
+results.
 """
 
 from __future__ import annotations
@@ -201,6 +202,71 @@ def _row_basis(rows):
     for r in rest:
         g = math.gcd(g, r[1])
     return [first, [0, g]]
+
+
+def even_overlattices_by_closure(gram, index):
+    """Even overlattices of index m = `index` of a nondegenerate even
+    lattice L of any rank and signature, as sorted Gram matrices.
+
+    An element k of (Z/m)^n stands for k/m in L's coordinates.  The ones
+    that can lie in an even overlattice are dual (gram k = 0 mod m) and
+    isotropic (k gram k = 0 mod 2m^2); a subgroup of order m made of such
+    elements only is an isotropic subgroup of (1/m)L/L, and L + S/m is the
+    overlattice.  Subgroups are grown from generating sets, one element at
+    a time, by closure.  Each result's basis is read off its element set
+    by minimality: row i is the element with zeros after place i, the
+    least positive entry there (m when none is below m), and entries before
+    it below the pivots of their rows.  That is the basis the library
+    returns, found without any row reduction.
+    """
+    n, m = len(gram), index
+    mm = m * m
+
+    def pair(u, v):
+        return sum(u[p] * gram[p][q] * v[q] for p in range(n) for q in range(n))
+
+    isotropic = {
+        k
+        for k in itertools.product(range(m), repeat=n)
+        if all(sum(g[q] * k[q] for q in range(n)) % m == 0 for g in gram)
+        and pair(k, k) % (2 * mm) == 0
+    }
+    zero = (0,) * n
+
+    def grow(group, g):
+        # group + <g>: the cosets of group by the multiples of g until one lands in it.
+        grown, step = set(group), g
+        while step not in group:
+            grown |= {tuple((h + s) % m for h, s in zip(member, step)) for member in group}
+            step = tuple((s + x) % m for s, x in zip(step, g))
+        return frozenset(grown)
+
+    seen = {frozenset({zero})}
+    frontier = list(seen)
+    found = set()
+    while frontier:
+        group = frontier.pop()
+        if len(group) == m:
+            found.add(group)
+            continue
+        for g in isotropic - group:
+            grown = grow(group, g)
+            if m % len(grown) == 0 and grown <= isotropic and grown not in seen:
+                seen.add(grown)
+                frontier.append(grown)
+    results = []
+    for group in found:
+        basis = []
+        for i in range(n):
+            tail = [k for k in group if k[i] > 0 and not any(k[i + 1:])]
+            pivot = min((k[i] for k in tail), default=m)
+            if pivot == m:
+                basis.append([m if j == i else 0 for j in range(n)])
+                continue
+            (row,) = [k for k in tail if k[i] == pivot and all(k[j] < basis[j][j] for j in range(i))]
+            basis.append(list(row))
+        results.append(tuple(tuple(pair(u, v) // mm for v in basis) for u in basis))
+    return sorted(results)
 
 
 def reduce_triple(a, b, c):

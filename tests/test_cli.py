@@ -290,6 +290,18 @@ class TestInProcess:
         err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
         assert err == "error: every discriminant candidate was excluded\n"
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_uncovered_rigidity_index_names_the_seed(self, tmp_path, capsys, mode):
+        def edit(entries):
+            # The halved seed [[22, 0], [0, 22]] has disc 22^2, past the index bound 10.
+            first(entries, "seed_transcendental_lattice")["payload"]["gram"] = [[44, 0], [0, 44]]
+
+        err = main_error(capsys, ["custom", *example1_args(tmp_path, edit), *mode])
+        assert err == (
+            "error: assumptions[3].payload.gram: index bound 10 does not cover all "
+            "determinant-admissible indices up to 22\n"
+        )
+
     def test_degenerate_stage_lattice_names_the_field(self, tmp_path, capsys):
         def edit(entries):
             first(entries, "stage_transcendental_lattice")["payload"]["gram"] = [[0, 0], [0, 0]]
@@ -529,6 +541,37 @@ class TestLatticeCommands:
         doc = json.loads(proc.stdout)
         assert doc["count"] == 1
         assert doc["overlattices"][0]["disc"] == 4
+
+    def test_overlattices_of_a_large_discriminant_group(self):
+        # A[16] has 256 elements, too many to search its subgroups one by one.
+        proc = run_cli(
+            "lattice", "overlattices", "--gram", "[[32,0],[0,32]]", "--index", "16", timeout=20
+        )
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["count"] == 1
+        assert doc["overlattices"] == [{"disc": 4, "gram": [["2", "0"], ["0", "2"]]}]
+
+    @pytest.mark.parametrize(
+        "gram, index, message",
+        [
+            ("[[4,0],[0,4]]", "1", "overlattice index must be an integer >= 2"),
+            (
+                "[[4,0],[0,4]]", "10001",
+                "index 10001 at rank 2 exceeds the overlattice search limit: "
+                "m^(rank-1) must be at most 10000",
+            ),
+            (
+                "[[4,0,0],[0,4,0],[0,0,4]]", "101",
+                "index 101 at rank 3 exceeds the overlattice search limit: "
+                "m^(rank-1) must be at most 10000",
+            ),
+        ],
+        ids=["below-2", "rank-2", "rank-3"],
+    )
+    def test_overlattice_index_errors_name_the_index(self, capsys, gram, index, message):
+        err = main_error(capsys, ["lattice", "overlattices", "--gram", gram, "--index", index])
+        assert err == f"error: --index: {message}\n"
 
     def test_bad_gram(self):
         proc = run_cli("lattice", "reduce", "--gram", "[[1,2],[3,4]]")

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invcycle import cli, lattice
@@ -13,6 +13,7 @@ from invcycle.lattice import (
     GramLattice,
     NotEvenError,
     NotPerfectSquareRatioError,
+    OverlatticeIndexError,
     enumerate_even_overlattices,
     enumerate_even_posdef_binary,
     reduce_binary,
@@ -25,6 +26,7 @@ from oracles import (
     binary_classes_by_theta,
     det_permutation_expansion,
     even_overlattices_bruteforce,
+    even_overlattices_by_closure,
     even_posdef_binary_scan,
     random_even_posdef_gram,
     reduce_triple,
@@ -48,6 +50,39 @@ _ENUM_DISCS = st.one_of(
 )
 A2_SCALED = GramLattice([[4, 2], [2, 4]])
 DIAG44 = GramLattice([[4, 0], [0, 4]])
+
+
+@st.composite
+def even_grams_with_index(draw):
+    """An even nondegenerate Gram of rank 2, 3 or 4 and a small index m.
+
+    The Gram is B A B^T times a scale: A a random integral lattice with
+    diagonal entries of either sign (definite or indefinite), B a
+    lower-triangular basis whose pivots divide m, so that m^2 often
+    divides the determinant, and the scale 1 or m for an even A, 1, 2 or
+    2m for an odd one.  An odd A at scale 1 can leave no even overlattice
+    although m^2 divides the determinant.
+    """
+    n = draw(st.sampled_from((2, 3, 4)))
+    m = draw(st.integers(2, {2: 10, 3: 6, 4: 4}[n]))
+    even = draw(st.booleans())
+    ambient = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            ambient[i][j] = ambient[j][i] = draw(st.integers(-3, 3))
+        ambient[i][i] = draw(st.integers(1, 6)) * draw(st.sampled_from((-1, 1))) * (2 if even else 1)
+    basis = [[0] * n for _ in range(n)]
+    for i in range(n):
+        basis[i][i] = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        for j in range(i):
+            basis[i][j] = draw(st.integers(0, basis[j][j] - 1))
+    scale = draw(st.sampled_from((1, m) if even else (1, 2, 2 * m)))
+    gram = [
+        [scale * sum(u[p] * ambient[p][q] * v[q] for p in range(n) for q in range(n)) for v in basis]
+        for u in basis
+    ]
+    assume(all(gram[i][i] % 2 == 0 for i in range(n)) and det_permutation_expansion(gram) != 0)
+    return gram, m
 
 
 class TestGramLattice:
@@ -381,6 +416,35 @@ class TestOverlattices:
             for o in mine:
                 assert o.is_even()
                 assert o.disc() * m * m == GramLattice(gram).disc()
+
+    @settings(max_examples=200, deadline=None)
+    @given(even_grams_with_index())
+    def test_against_closure_oracle(self, case):
+        gram, m = case
+        mine = enumerate_even_overlattices(GramLattice(gram), m)
+        assert [o.gram for o in mine] == even_overlattices_by_closure(gram, m)
+
+    def test_search_limit(self, monkeypatch):
+        with pytest.raises(OverlatticeIndexError, match="must be an integer >= 2"):
+            enumerate_even_overlattices(DIAG44, 1)
+        # m^(rank-1) just past the limit at ranks 2, 3 and 5.
+        for rank, m in ((2, 10**4 + 1), (3, 101), (5, 11)):
+            scaled = GramLattice([[2 * m * m if i == j else 0 for j in range(rank)] for i in range(rank)])
+            with pytest.raises(OverlatticeIndexError, match="exceeds the overlattice search limit"):
+                enumerate_even_overlattices(scaled, m)
+
+        # At the limit the check passes; stop before the search.
+        class Reached(Exception):
+            pass
+
+        def stop(gram, m):
+            raise Reached
+
+        monkeypatch.setattr(lattice, "_even_hermite_grams", stop)
+        for rank, m in ((2, 10**4), (3, 100), (5, 10)):
+            scaled = GramLattice([[2 * m * m if i == j else 0 for j in range(rank)] for i in range(rank)])
+            with pytest.raises(Reached):
+                enumerate_even_overlattices(scaled, m)
 
 
 class TestIndexFromDiscs:
