@@ -107,10 +107,13 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_lattice_reduce(args) -> int:
-    from .lattice import BinaryEvenForm, reduce_binary
+    from .lattice import BinaryEvenForm, LatticeError, reduce_binary
 
     gram = _parse_gram_arg(args.gram)
-    form = reduce_binary(BinaryEvenForm.from_gram(gram))
+    try:
+        form = reduce_binary(BinaryEvenForm.from_gram(gram))
+    except LatticeError as exc:
+        raise InputError(f"--gram: {exc}") from None
     return _write_answer("--gram", lambda: {
         "reduced": form_to_json(form),
         "coefficients": [form.a, form.b, form.c],
@@ -121,7 +124,10 @@ def _cmd_lattice_reduce(args) -> int:
 def _cmd_lattice_enumerate(args) -> int:
     from .lattice import enumerate_even_posdef_binary
 
-    forms = enumerate_even_posdef_binary(args.disc)
+    try:
+        forms = enumerate_even_posdef_binary(args.disc)
+    except ValueError as exc:
+        raise InputError(f"--disc: {exc}") from None
     doc = {
         "disc": args.disc,
         "count": len(forms),
@@ -134,13 +140,15 @@ def _cmd_lattice_enumerate(args) -> int:
 
 
 def _cmd_lattice_overlattices(args) -> int:
-    from .lattice import OverlatticeIndexError, enumerate_even_overlattices
+    from .lattice import LatticeError, OverlatticeIndexError, enumerate_even_overlattices
 
     gram = _parse_gram_arg(args.gram)
     try:
         overs = enumerate_even_overlattices(gram, args.index)
     except OverlatticeIndexError as exc:
         raise InputError(f"--index: {exc}") from None
+    except LatticeError as exc:
+        raise InputError(f"--gram: {exc}") from None
     return _write_answer("--gram", lambda: {
         "gram": gram_to_json(gram),
         "index": args.index,

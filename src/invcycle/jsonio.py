@@ -4,7 +4,8 @@ Gram matrix entries travel as decimal integer strings; integers are
 accepted on input.  Either way their size is bounded by Python's int/str
 conversion limit (sys.get_int_max_str_digits(), 4300 digits by default),
 which also bounds every number in the output.  Parse errors carry the
-position, schema errors carry the offending field.
+position, schema errors carry the offending field.  Every Gram from
+outside passes `parse_gram`, the one place its shape is checked.
 
 `surfaces` and `transcendental` are imported inside the parse functions
 that build their types, so the lattice and fiber commands never load them.
@@ -109,10 +110,12 @@ def parse_gram(value: Any, where: str) -> GramLattice:
         [parse_int_entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(value)
     ]
-    try:
-        return GramLattice(rows)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise SchemaError(f"{where}: Gram matrix must be square")
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise SchemaError(f"{where}: Gram matrix must be symmetric")
+    return GramLattice(rows)
 
 
 def gram_to_json(lattice: GramLattice) -> list[list[str]]:

@@ -6,15 +6,14 @@ non-identity components, the denominators that local height
 contributions can produce, and the image under a quadratic base change
 ramified at the fiber; the I_n and I_n* series follow closed-form rules.
 These are closed forms (Schuett-Shioda, Mordell-Weil Lattices, ch. 5-6):
-no Gram matrix is built unless a caller asks a profile for its
-root_lattice, which the tests do to cross-check the catalog.
+no Gram matrix is built.
 """
 
 from __future__ import annotations
 
 import math
 
-from .lattice import FrozenRecord, GramLattice, root_gram
+from .lattice import FrozenRecord
 
 _PARAMETRIC_KINDS = ("I", "I*")
 
@@ -31,13 +30,6 @@ class FiberProfile(FrozenRecord):
         "euler", "components", "root_type", "root_rank", "root_disc",
         "odd_multiplicity_components", "contribution_denominators",
     )
-
-    @property
-    def root_lattice(self) -> GramLattice:
-        """The negated Cartan matrix, built on demand."""
-        if self.root_type is None:
-            return GramLattice([])
-        return root_gram(self.root_type, self.root_rank).negate()
 
 
 # Fixed kind -> (its profile, the token of its image under a ramified

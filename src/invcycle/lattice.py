@@ -1,8 +1,9 @@
 """Exact arithmetic on integral lattices presented by Gram matrices.
 
 Everything here runs on arbitrary-precision Python integers; no floating
-point is used anywhere.  All values are immutable and all functions are
-pure, so the module is safe to use from concurrent callers.
+point is used anywhere.  All values are immutable records and all
+functions are pure, so the module is safe to use from concurrent
+callers.  Inputs are not re-checked: `jsonio.parse_gram` checks each Gram.
 """
 
 from __future__ import annotations
@@ -45,32 +46,100 @@ class OverlatticeIndexError(LatticeError):
     """An overlattice index below 2 or past MAX_OVERLATTICE_SEARCH."""
 
 
-def _check_int(x: object) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"matrix entries must be integers, got {type(x).__name__}")
-    return int(x)
+class FrozenRecord:
+    """Immutable record over __slots__, as @dataclass(frozen=True) makes one.
+
+    Instances are equal field by field, and only to instances of the same
+    class: a plain tuple never equals a record.  The hash is that of the
+    field tuple, the repr is `Name(field=value, ...)`, and assigning or
+    deleting an attribute raises AttributeError.
+
+    A subclass lists its fields in __slots__; __init__ here stores them
+    in that order, passed by position or by keyword.  It calls each slot
+    descriptor's own __set__, cached per class, which gets past the
+    raising __setattr__ without looking a name up per field: records
+    built by the hundred per op, such as `transcendental.ClassVerdict`,
+    are built by position on that path.  Only a record that checks,
+    defaults or converts its arguments writes its own __init__, which
+    ends in super().__init__(...).
+
+    Written out because @dataclass builds its methods through exec and
+    importing dataclasses loads inspect: no command loads either, and a
+    command's run takes milliseconds.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        values = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            # attrgetter of a single name returns the bare value.
+            cls._values = property(lambda self: (values(self),))
+        else:
+            cls._values = property(values)  # the field tuple
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values, **fields) -> None:
+        setters = self._setters
+        if fields or len(values) != len(setters):
+            values = self._arguments(values, fields)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _arguments(cls, values: tuple, fields: dict) -> tuple:
+        """The field tuple from positional and keyword arguments, with the
+        TypeError a hand-written signature would raise for a bad call."""
+        names, name = cls.__slots__, cls.__qualname__
+        if len(values) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} arguments but {len(values)} were given")
+        for field in names[:len(values)]:
+            if field in fields:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        for field in fields:
+            if field not in names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+        rest = names[len(values):]
+        for field in rest:
+            if field not in fields:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        return values + tuple(fields[field] for field in rest)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values
 
 
-class GramLattice:
+class GramLattice(FrozenRecord):
     """An integral lattice in a fixed basis, held as its Gram matrix.
 
-    Rank 0 (the empty lattice) is allowed: it has determinant 1 by the
-    empty-product convention.
+    The rows are stored as given, as tuples; `jsonio.parse_gram` checks
+    a Gram from outside.  Rank 0 (the empty lattice) is allowed: it has
+    determinant 1 by the empty-product convention.
     """
 
     __slots__ = ("gram",)
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        gram = tuple(tuple(_check_int(x) for x in row) for row in rows)
-        n = len(gram)
-        for row in gram:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        self.gram = gram
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        super().__init__(tuple(map(tuple, rows)))
 
     @property
     def rank(self) -> int:
@@ -88,27 +157,6 @@ class GramLattice:
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
-    def negate(self) -> "GramLattice":
-        return GramLattice([[-x for x in row] for row in self.gram])
-
-    def discriminant_group(self) -> tuple[int, ...]:
-        """Invariant factors (> 1, in a divisibility chain) of the dual quotient."""
-        if self.rank == 0:
-            return ()
-        if self.det() == 0:
-            raise DegenerateLatticeError("discriminant group needs det != 0")
-        d, _, _ = smith_normal_form(self.gram)
-        return tuple(d[i][i] for i in range(self.rank) if d[i][i] > 1)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GramLattice) and self.gram == other.gram
-
-    def __hash__(self) -> int:
-        return hash(self.gram)
-
-    def __repr__(self) -> str:
-        return f"GramLattice({[list(row) for row in self.gram]})"
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -162,7 +210,7 @@ def smith_normal_form(
     diagonal with nonnegative entries satisfying d1 | d2 | ... (zeros,
     if any, at the end).
     """
-    d = [[_check_int(x) for x in row] for row in matrix]
+    d = [list(row) for row in matrix]
     r = len(d)
     c = len(d[0]) if r else 0
     for row in d:
@@ -245,100 +293,14 @@ def smith_normal_form(
     return freeze(d), freeze(u), freeze(v)
 
 
-class FrozenRecord:
-    """Immutable record over __slots__, as @dataclass(frozen=True) makes one.
-
-    Instances are equal field by field, and only to instances of the same
-    class: a plain tuple never equals a record.  The hash is that of the
-    field tuple, the repr is `Name(field=value, ...)`, and assigning or
-    deleting an attribute raises AttributeError.
-
-    A subclass lists its fields in __slots__; __init__ here stores them
-    in that order, passed by position or by keyword.  It calls each slot
-    descriptor's own __set__, cached per class, which gets past the
-    raising __setattr__ without looking a name up per field: records
-    built by the hundred per op, such as `transcendental.ClassVerdict`,
-    are built by position on that path.  Only a record that checks or
-    defaults its arguments writes its own __init__, which ends in
-    super().__init__(...).
-
-    Written out because @dataclass builds its methods through exec and
-    importing dataclasses loads inspect: no command loads either, and a
-    command's run takes milliseconds.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        values = attrgetter(*cls.__slots__)
-        if len(cls.__slots__) == 1:
-            # attrgetter of a single name returns the bare value.
-            cls._values = property(lambda self: (values(self),))
-        else:
-            cls._values = property(values)  # the field tuple
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def __init__(self, *values, **fields) -> None:
-        setters = self._setters
-        if fields or len(values) != len(setters):
-            values = self._arguments(values, fields)
-        for set_field, value in zip(setters, values):
-            set_field(self, value)
-
-    @classmethod
-    def _arguments(cls, values: tuple, fields: dict) -> tuple:
-        """The field tuple from positional and keyword arguments, with the
-        TypeError a hand-written signature would raise for a bad call."""
-        names, name = cls.__slots__, cls.__qualname__
-        if len(values) > len(names):
-            raise TypeError(f"{name}() takes {len(names)} arguments but {len(values)} were given")
-        for field in names[:len(values)]:
-            if field in fields:
-                raise TypeError(f"{name}() got multiple values for argument {field!r}")
-        for field in fields:
-            if field not in names:
-                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
-        rest = names[len(values):]
-        for field in rest:
-            if field not in fields:
-                raise TypeError(f"{name}() missing argument {field!r}")
-        return values + tuple(fields[field] for field in rest)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values
-
-
 class BinaryEvenForm(FrozenRecord):
     """Even binary form with Gram matrix [[2a, b], [b, 2c]].
 
     Forms compare for equality only: nothing in the package sorts them.
+    The coefficients are stored as given, unchecked.
     """
 
     __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int) -> None:
-        for x in (a, b, c):
-            _check_int(x)
-        super().__init__(a, b, c)
 
     @property
     def disc(self) -> int:
@@ -637,9 +599,9 @@ def enumerate_even_overlattices(lattice: GramLattice, m: int) -> list[GramLattic
 def root_gram(kind: str, rank: int) -> GramLattice:
     """Positive-definite root lattice Gram matrix of Dynkin type A, D or E.
 
-    The closed forms for rank and determinant (A_n has n + 1, D_n has 4,
-    E6/E7/E8 have 3/2/1) live in the `kodaira` catalog; this matrix is
-    the reference the tests check them against.
+    No command builds it: the closed forms for rank and determinant (A_n
+    has n + 1, D_n has 4, E6/E7/E8 have 3/2/1) live in the `kodaira`
+    catalog, and this matrix is the reference the tests check them against.
     """
     if kind == "A":
         if rank < 1:

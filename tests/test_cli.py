@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -573,10 +574,90 @@ class TestLatticeCommands:
         err = main_error(capsys, ["lattice", "overlattices", "--gram", gram, "--index", index])
         assert err == f"error: --index: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["reduce", "--gram", "[[1,0],[0,2]]"], "--gram: binary form needs even diagonal entries"),
+            (["reduce", "--gram", "[[2]]"], "--gram: binary form needs a rank-2 lattice"),
+            (
+                ["reduce", "--gram", "[[-2,0],[0,2]]"],
+                "--gram: form BinaryEvenForm(a=-1, b=0, c=1) is not positive definite",
+            ),
+            (
+                ["overlattices", "--gram", "[[1,0],[0,2]]", "--index", "2"],
+                "--gram: overlattice enumeration needs an even lattice",
+            ),
+            (
+                ["overlattices", "--gram", "[[2,2],[2,2]]", "--index", "2"],
+                "--gram: overlattice enumeration needs det != 0",
+            ),
+            (["enumerate", "--disc", "0"], "--disc: discriminant must be a positive integer"),
+            (
+                ["enumerate", "--disc", "10000000000000"],
+                "--disc: discriminant 10000000000000 exceeds the class-enumeration limit 1000000000000",
+            ),
+        ],
+        ids=["reduce-odd", "reduce-rank-1", "reduce-indefinite", "overlattices-odd",
+             "overlattices-degenerate", "enumerate-zero", "enumerate-past-limit"],
+    )
+    def test_input_errors_name_the_option(self, capsys, argv, line):
+        assert main_error(capsys, ["lattice", *argv]) == f"error: {line}\n"
+
     def test_bad_gram(self):
         proc = run_cli("lattice", "reduce", "--gram", "[[1,2],[3,4]]")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
+
+
+@st.composite
+def malformed_grams(draw):
+    """A small Gram that parse_gram refuses: asymmetric, ragged, or with
+    a float or bool entry."""
+    gram = draw(symmetric_grams(st.integers(2, 3)))
+    n = len(gram)
+    i = draw(st.integers(0, n - 1))
+    j = (i + draw(st.integers(1, n - 1))) % n  # another row
+    flaw = draw(st.sampled_from(["asymmetric", "ragged", "float", "bool"]))
+    if flaw == "asymmetric":
+        gram[i][j] += draw(st.sampled_from([-1, 1]))
+    elif flaw == "ragged":
+        gram[i] = gram[i][:-1] if draw(st.booleans()) else gram[i] + [0]
+    elif flaw == "float":
+        gram[i][j] = float(gram[i][j])
+    else:
+        gram[i][j] = draw(st.booleans())
+    return gram
+
+
+# A field name: an option, or a Gram entry of the --gram option.
+FIELD_ERROR = re.compile(r"error: --(gram(\[\d+\]\[\d+\])?|index): [^\n]+\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["reduce", "overlattices"]),
+    gram=st.one_of(symmetric_grams(st.integers(0, 3)), STAGE_GRAMS, malformed_grams()),
+    index=st.integers(-2, 12),
+)
+def test_lattice_commands_answer_or_name_the_field(command, gram, index):
+    """Any small Gram and index within MAX_OVERLATTICE_SEARCH ends in an
+    answer or in one error line naming --gram or --index."""
+    from invcycle import cli
+
+    argv = ["lattice", command, "--gram", json.dumps(gram)]
+    if command == "overlattices":
+        argv += ["--index", str(index)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert FIELD_ERROR.fullmatch(err.getvalue()), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestBaseChangeCommand:

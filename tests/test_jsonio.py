@@ -125,6 +125,27 @@ class TestGram:
         with pytest.raises(SchemaError):
             parse_gram([["1", "2"], ["3", "4"]], "g")
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([[2, 1], [0, 2]], "g: Gram matrix must be symmetric"),
+            ([[2, 1]], "g: Gram matrix must be square"),
+            ([[2, 1], [1]], "g: Gram matrix must be square"),
+            ([[]], "g: Gram matrix must be square"),
+            ([[2.0, 0], [0, 2]], "g[0][0]: expected an integer or integer string"),
+            ([[2, 0], [0, True]], "g[1][1]: expected an integer or integer string"),
+        ],
+        ids=["nonsymmetric", "one-row", "ragged", "empty-row", "float", "bool"],
+    )
+    def test_shape_and_entry_errors(self, value, message):
+        # parse_gram is the only check: GramLattice stores what it is given.
+        with pytest.raises(SchemaError) as info:
+            parse_gram(value, "g")
+        assert str(info.value) == message
+
+    def test_rank_zero_accepted(self):
+        assert parse_gram([], "g").rank == 0
+
     def test_non_array_rejected(self):
         with pytest.raises(SchemaError):
             parse_gram({"rows": []}, "g")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcycle import cli, kodaira
+from invcycle import cli, kodaira, lattice
 from invcycle.kodaira import (
     FiberTokenError,
     KodairaFiber,
@@ -19,7 +19,7 @@ from invcycle.kodaira import (
     is_star,
     quadratic_base_change_fiber,
 )
-from invcycle.lattice import root_gram
+from invcycle.lattice import GramLattice, root_gram
 from invcycle.pipeline import run_example
 
 FIXED_EULER = {
@@ -50,6 +50,13 @@ def all_tokens(nmax=20):
         tokens.append(f"I{n}")
         tokens.append(f"I{n}*")
     return tokens
+
+
+def root_lattice(profile):
+    """A fiber's root lattice up to sign: root_gram of its type, or rank 0."""
+    if profile.root_type is None:
+        return GramLattice([])
+    return root_gram(profile.root_type, profile.root_rank)
 
 
 class TestTokens:
@@ -150,13 +157,13 @@ class TestProfiles:
     def test_profile_table(self, tok, components, rootdisc, denoms):
         profile = fiber_profile(fiber(tok))
         assert profile.components == components
-        assert profile.root_lattice.disc() == rootdisc
+        assert root_lattice(profile).disc() == rootdisc
         assert profile.contribution_denominators == frozenset(denoms)
 
     def test_root_lattice_rank_matches_components(self):
         for tok in all_tokens(12):
             profile = fiber_profile(fiber(tok))
-            assert profile.root_lattice.rank == profile.components - 1
+            assert root_lattice(profile).rank == profile.components - 1
 
     def test_star_odd_multiplicity(self):
         for tok in all_tokens(8):
@@ -220,7 +227,7 @@ class TestLargeISeries:
         def refuse(kind, rank):
             raise AssertionError(f"root_gram({kind!r}, {rank}) built on the hot path")
 
-        monkeypatch.setattr(kodaira, "root_gram", refuse)
+        monkeypatch.setattr(lattice, "root_gram", refuse)
         assert run_example(1)["status"] == "verified"
         assert run_example(2)["status"] == "conditional"
         assert _fiber_info(capsys, "I1000000")["root_lattice_disc"] == 10**6
