@@ -22,10 +22,6 @@ class DegenerateLatticeError(LatticeError):
     """The operation needs a nondegenerate lattice (det != 0)."""
 
 
-class NotDivisibleError(LatticeError):
-    """An entrywise exact division failed."""
-
-
 class NotEvenError(LatticeError):
     """The operation needs an even lattice (all diagonal entries even)."""
 
@@ -149,11 +145,8 @@ class GramLattice(FrozenRecord):
         return _det_bareiss([list(row) for row in self.gram])
 
     def disc(self) -> int:
-        """Absolute value of the determinant; the lattice must be nondegenerate."""
-        det = self.det()
-        if det == 0:
-            raise DegenerateLatticeError("lattice has determinant zero")
-        return abs(det)
+        """Absolute value of the determinant."""
+        return abs(self.det())
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -467,10 +460,8 @@ def sublattice_index_from_discs(d_sub: int, d_sup: int) -> int:
     """Index of a finite-index sublattice from the two discriminants.
 
     d_sub = index^2 * d_sup, so the ratio must be the square of a
-    positive integer.
+    positive integer.  Both are discs of positive-definite forms.
     """
-    if d_sub < 1 or d_sup < 1:
-        raise ValueError("discriminants must be positive")
     if d_sub % d_sup != 0:
         raise NotPerfectSquareRatioError(f"{d_sup} does not divide {d_sub}")
     ratio = d_sub // d_sup

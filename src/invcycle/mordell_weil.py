@@ -40,8 +40,6 @@ def _trivial_summands(config: SurfaceConfig) -> tuple[int, int, int]:
 
 
 def _rank_over(trivial_rank: int, rho: int) -> int:
-    if not isinstance(rho, int) or rho < 1:
-        raise ValueError("rho must be a positive integer")
     r = rho - trivial_rank
     if r < 0:
         raise PicardTooSmallError(
@@ -71,10 +69,6 @@ def check_disc_consistency(
     """
     trivial_rank, trivial_disc, d = _trivial_summands(config)
     r = _rank_over(trivial_rank, rho)
-    if not isinstance(candidate_disc, int) or candidate_disc < 1:
-        raise ValueError("disc_ns must be a positive integer")
-    if not isinstance(torsion_order, int) or torsion_order < 1:
-        raise ValueError("torsion order must be a positive integer")
     disc = Fraction(candidate_disc * torsion_order * torsion_order, trivial_disc)
     bound = d**r
     reason = None

@@ -41,10 +41,11 @@ from .jsonio import (
 )
 from .kodaira import is_star
 from .lattice import FrozenRecord, NotPerfectSquareRatioError
-from .mordell_weil import check_disc_consistency, shioda_tate
+from .mordell_weil import PicardTooSmallError, check_disc_consistency, shioda_tate
 from .surfaces import (
     BaseChangeResult,
     BranchSpec,
+    EulerNotDivisibleBy12Error,
     SurfaceConfig,
     SurfaceInvariants,
     invariants,
@@ -62,16 +63,11 @@ from .transcendental import (
     specialization_index,
 )
 
-TAGS = ("paper", "trivial", "derived", "assumed")
-
-
 class PipelineContradictionError(PipelineError):
     """A certified stage failed an exact consistency check."""
 
 
 def tagged(value: Any, tag: str) -> dict:
-    if tag not in TAGS:
-        raise ValueError(f"unknown tag {tag!r}")
     return {"tag": tag, "value": value}
 
 
@@ -169,8 +165,11 @@ def _base_change_json(bc: BaseChangeResult) -> dict:
     return out
 
 
-def _shioda_tate_json(config: SurfaceConfig, rho: int) -> dict:
-    st = shioda_tate(config, rho)
+def _shioda_tate_json(stage: str, config: SurfaceConfig, rho: int) -> dict:
+    try:
+        st = shioda_tate(config, rho)
+    except PicardTooSmallError as exc:  # the fibers' trivial lattice outranks rho = h11
+        raise SchemaError(f"config.fibers: stage {stage}: {exc}") from None
     return {
         "rho": tagged(st.rho, "assumed"),
         "trivial_rank": tagged(st.trivial_rank, "derived"),
@@ -236,7 +235,7 @@ def _seed_stage(spec: PipelineSpec, inv: SurfaceInvariants) -> tuple[dict, list[
     }
     reasons = []
     if "picard_maximal" in spec.flags:
-        record["shioda_tate"] = _shioda_tate_json(spec.seed, inv.h11)
+        record["shioda_tate"] = _shioda_tate_json(SEED_STAGE, spec.seed, inv.h11)
     else:
         reasons.append(Reason("no Picard-number assumption: Shioda-Tate accounting skipped"))
     if spec.seed_lattice is not None:
@@ -272,7 +271,7 @@ def _covering_stages(spec: PipelineSpec) -> tuple[list[dict], list[Reason], Surf
             "invariants": _invariants_json(inv),
         }
         if "picard_maximal" in spec.flags:
-            record["shioda_tate"] = _shioda_tate_json(bc.config, inv.h11)
+            record["shioda_tate"] = _shioda_tate_json(name, bc.config, inv.h11)
         if name == FAMILY_STAGE:
             family_ok = inv.kind == "elliptic-elliptic"
             detail = f"expected an elliptic surface over an elliptic base, got {inv.kind!r}"
@@ -491,10 +490,15 @@ def _agreed(verdicts: set[str]) -> str:
 
 
 def run_pipeline(spec: PipelineSpec) -> dict:
-    seed_inv = invariants(spec.seed)
+    try:
+        seed_inv = invariants(spec.seed)
+    except EulerNotDivisibleBy12Error as exc:
+        raise SchemaError(f"config.fibers: {exc}") from None
     if seed_inv.kind != "K3" or seed_inv.e != 24:
+        # With e = 24, only a base genus other than 0 keeps the seed from K3.
+        field = "config.fibers" if seed_inv.e != 24 else "config.base_genus"
         raise PipelineError(
-            f"seed configuration must be a K3 fibration with e = 24; "
+            f"{field}: seed configuration must be a K3 fibration with e = 24; "
             f"got kind {seed_inv.kind!r} with e = {seed_inv.e}"
         )
     seed_record, reasons = _seed_stage(spec, seed_inv)

@@ -16,8 +16,6 @@ import math
 from .lattice import (
     BinaryEvenForm,
     FrozenRecord,
-    NotDivisibleError,
-    NotPositiveDefiniteError,
     enumerate_even_overlattices,
     enumerate_even_posdef_binary,
     reduce_binary,
@@ -71,14 +69,9 @@ def double_cover_disc_candidates(disc_tx: int) -> list[tuple[int, int]]:
     """Candidate discriminants disc_tx * 2^(2a - 2) for a = 0, 1, 2.
 
     Covers the possible positions of the rank-2 covered lattice between
-    the pushforward and the pullback of the covering one.
+    the pushforward and the pullback of the covering one.  `jsonio`
+    keeps disc_tx divisible by 4, so every candidate is an integer.
     """
-    if not isinstance(disc_tx, int) or disc_tx < 1:
-        raise ValueError("disc_tx must be a positive integer")
-    if disc_tx % 4 != 0:
-        raise NotDivisibleError(
-            f"disc_tx = {disc_tx} must be divisible by 2^rank for the a = 0 candidate"
-        )
     return [(alpha, disc_tx * 4**alpha // 4) for alpha in range(3)]
 
 
@@ -195,10 +188,8 @@ def square_divisor_primes(n: int) -> dict[int, int]:
     The keys are the primes p with p^2 | n.  Trial division stops once
     p^3 exceeds what is left of n, so it runs up to n^(1/3); the cofactor
     then has at most two prime factors, and contributes q exactly when
-    it equals q^2.
+    it equals q^2.  n is the disc of a positive-definite form.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
     factors = {}
     p = 2
     while p * p * p <= n:
@@ -239,10 +230,9 @@ def rigidity_transfer(form: BinaryEvenForm) -> RigidityCertificate:
     the form's Gram lattice handles the rest, up to RIGIDITY_INDEX_BOUND.
     The certificate holds the form and, when one is found, the first
     overlattice as a form.  Finding an overlattice is a refutation
-    result, not an error.
+    result, not an error.  The form is positive definite: the pipeline
+    passes the halved seed, which `jsonio` checked.
     """
-    if not form.is_positive_definite():
-        raise NotPositiveDefiniteError("rigidity transfer needs a positive-definite lattice")
     disc = form.disc
     lattice = form.gram()
     checks = []
@@ -292,10 +282,9 @@ def shioda_inose_unscale(form: BinaryEvenForm) -> BinaryEvenForm:
     """Transcendental form of the degree-2 quotient: halve the pairing.
 
     The halved pairing is an even form exactly when a, b and c are even.
+    With a cover declared, `jsonio` requires a and c even; then 4 divides
+    disc = 4ac - b^2, so b is even too.
     """
-    for x in (form.a, form.b, form.c):
-        if x % 2:
-            raise NotDivisibleError(f"entry {x} is not divisible by 2")
     return BinaryEvenForm(form.a // 2, form.b // 2, form.c // 2)
 
 

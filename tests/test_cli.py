@@ -673,6 +673,154 @@ class TestBaseChangeCommand:
         assert sorted(f["type"] for f in doc["fibers"]) == ["IV", "IV*"]
 
 
+def write_documents(workdir, fibers, genus, branch, picard):
+    """`custom` arguments for a seed of (label, token) fibers on a base of
+    the given genus, a branch label list, and a ledger that declares only
+    picard_maximal, or nothing."""
+    docs = {
+        "config": {
+            "name": "seed",
+            "base_genus": genus,
+            "fibers": [{"label": label, "type": token} for label, token in fibers],
+        },
+        "branch": {"branch": branch},
+        "assumptions": {
+            "assumptions": [{"name": "picard_maximal", "provenance": "p"}] if picard else []
+        },
+    }
+    argv = []
+    for name, doc in docs.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv += [f"--{name}", str(path)]
+    return argv
+
+
+# II*, IV*, I0*: unbranched, the fiber labelled a is copied to a.1 and a.2.
+COLLIDING = [("a", "II*"), ("a.1", "IV*"), ("b", "I0*")]
+
+
+class TestConfigAndBranchErrors:
+    """Config and branch documents that cannot be base-changed, or that
+    are no K3 seed, end in one error line naming the field at fault."""
+
+    @pytest.mark.parametrize(
+        "commands, fibers, genus, branch, picard, line",
+        [
+            (
+                ("basechange", "custom"), COLLIDING, 0, ["a.1", "b"], False,
+                "config.fibers[1].label: 'a.1' is also the label of a copy of the unbranched "
+                "fiber 'a'; fiber labels must be distinct",
+            ),
+            (
+                # The family stage branches at all three stars; Y0 omits a.
+                ("custom",), COLLIDING, 0, ["a", "a.1", "b", "t"], False,
+                "config.fibers[1].label: 'a.1' is also the label of a copy of the unbranched "
+                "fiber 'a'; fiber labels must be distinct",
+            ),
+            (
+                ("custom",), [("a", "I24")], 0, ["a", "t"], True,
+                "config.fibers: stage X: rho = 20 is below the trivial-lattice rank 25",
+            ),
+            (
+                ("basechange", "custom"), [("a", "I24")], 0, [], False,
+                "branch.branch: a double cover of a genus-0 base needs at least two branch points",
+            ),
+            (
+                ("custom",), [("a", "I13")], 0, ["a", "t"], False,
+                "config.fibers: total Euler number 13 is not divisible by 12",
+            ),
+            (
+                ("custom",), [("a", "I12")], 0, ["a", "t"], False,
+                "config.fibers: seed configuration must be a K3 fibration with e = 24; "
+                "got kind 'rational-elliptic' with e = 12",
+            ),
+            (
+                ("custom",), [("a", "I24")], 1, ["a", "t"], False,
+                "config.base_genus: seed configuration must be a K3 fibration with e = 24; "
+                "got kind 'other' with e = 24",
+            ),
+        ],
+        ids=["label-collision", "label-collision-at-Y0", "rho-below-trivial-rank",
+             "genus-0-empty-branch", "euler-13", "rational-seed", "genus-1-seed"],
+    )
+    def test_error_names_the_field(self, tmp_path, capsys, commands, fibers, genus, branch, picard, line):
+        argv = write_documents(tmp_path, fibers, genus, branch, picard)
+        for command in commands:
+            args = argv if command == "custom" else argv[:4]
+            assert main_error(capsys, [command, *args]) == f"error: {line}\n"
+
+
+LABEL_POOL = ["a", "a.1", "a.2", "b", "b.1", "0", "0.2", "0.2.1"]
+TOKEN_POOL = (
+    [f"I{n}" for n in range(31)]
+    + [f"I{n}*" for n in range(5)]
+    + ["II", "III", "IV", "II*", "III*", "IV*"]
+)
+
+
+@st.composite
+def seed_fibers(draw):
+    """Up to six (label, token) pairs with distinct labels.  Half the time
+    an I_n fiber tops the Euler number up to 24, so that a genus-0 seed is
+    a K3 fibration and the pipeline runs past its seed gate."""
+    from invcycle.kodaira import euler_number, fiber
+
+    fibers = draw(st.lists(
+        st.tuples(st.sampled_from(LABEL_POOL), st.sampled_from(TOKEN_POOL)),
+        max_size=5, unique_by=lambda pair: pair[0],
+    ))
+    euler = sum(euler_number(fiber(token)) for _, token in fibers)
+    if euler < 24 and draw(st.booleans()):
+        free = [label for label in LABEL_POOL if label not in dict(fibers)]
+        fibers.append((draw(st.sampled_from(free)), f"I{24 - euler}"))
+    return fibers
+
+
+@st.composite
+def branch_sets(draw, labels):
+    """An even set of labels, possibly empty, that may add the fresh point t."""
+    branch = draw(st.lists(st.sampled_from(labels + ["t"]), unique=True, max_size=4))
+    if len(branch) % 2:
+        branch = branch[:-1] if "t" in branch else branch + ["t"]
+    return branch
+
+
+# The document at fault: a config, branch or assumptions field.
+DOCUMENT_ERROR = re.compile(r"error: (config|branch|assumptions)(\.\w+|\[\d+\])*: [^\n]+\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["basechange", "custom"]),
+    fibers=seed_fibers(),
+    genus=st.integers(0, 2),
+    data=st.data(),
+    picard=st.booleans(),
+)
+def test_config_and_branch_documents_answer_or_name_the_field(
+    tmp_path_factory, command, fibers, genus, data, picard
+):
+    """Any small seed, even branch set and Picard flag ends in a report,
+    an answer, or one error line naming the document field at fault."""
+    from invcycle import cli
+
+    branch = data.draw(branch_sets(sorted({label for label, _ in fibers})))
+    workdir = tmp_path_factory.getbasetemp() / "config-and-branch"
+    workdir.mkdir(exist_ok=True)
+    argv = write_documents(workdir, fibers, genus, branch, picard)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, *(argv if command == "custom" else argv[:4])])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert DOCUMENT_ERROR.fullmatch(err.getvalue()), err.getvalue()
+    else:
+        assert err.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+
+
 class TestArgparseBehavior:
     def test_no_args_shows_usage(self):
         proc = run_cli()

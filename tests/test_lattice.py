@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from invcycle import cli, lattice
 from invcycle.lattice import (
     BinaryEvenForm,
-    DegenerateLatticeError,
     GramLattice,
     NotEvenError,
     NotPerfectSquareRatioError,
@@ -105,11 +104,6 @@ class TestGramLattice:
         assert BinaryEvenForm.from_gram(A2).is_positive_definite()
         assert not BinaryEvenForm.from_gram(GramLattice([[-2, 0], [0, 2]])).is_positive_definite()
         assert not BinaryEvenForm.from_gram(GramLattice([[2, 3], [3, 2]])).is_positive_definite()
-
-    def test_determinant_zero_disc_rejected(self):
-        degenerate = GramLattice([[2, 2], [2, 2]])
-        with pytest.raises(DegenerateLatticeError):
-            degenerate.disc()
 
 
 class TestRootLattices:

@@ -154,18 +154,6 @@ def test_defaults():
     assert KodairaFiber("II").n is None
 
 
-@pytest.mark.parametrize("args, message", [
-    (("I",), "I fiber needs an integer n >= 0"),
-    (("I*", -1), r"I\* fiber needs an integer n >= 0"),
-    (("I", "3"), "I fiber needs an integer n >= 0"),
-    (("II", 3), "II fiber takes no parameter"),
-    (("X",), "unknown fiber kind 'X'"),
-])
-def test_fiber_validation(args, message):
-    with pytest.raises(ValueError, match=message):
-        KodairaFiber(*args)
-
-
 def test_missing_and_unknown_arguments():
     with pytest.raises(TypeError):
         BinaryEvenForm(1, 0)
