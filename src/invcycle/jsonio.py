@@ -151,6 +151,13 @@ def parse_surface_config(obj: Any, where: str = "config") -> SurfaceConfig:
         fib = parse_fiber_token(_require(entry, "type", str, spot), f"{spot}.type")
         _reject_unknown(entry, {"label", "type"}, spot)
         fibers.append((label, fib))
+    first_at: dict[str, int] = {}
+    for i, (label, _fib) in enumerate(fibers):
+        if first_at.setdefault(label, i) != i:
+            raise SchemaError(
+                f"{where}.fibers[{i}].label: {label!r} is also "
+                f"{where}.fibers[{first_at[label]}].label; fiber labels must be distinct"
+            )
     try:
         return SurfaceConfig(name=name, base_genus=genus, fibers=tuple(fibers))
     except ValueError as exc:
@@ -338,20 +345,24 @@ def dumps_canonical(document: Any) -> str:
     Byte for byte equal to json.dumps(document, indent=2, sort_keys=True,
     ensure_ascii=False) + "\n", whose indent path is the stdlib's pure-Python
     encoder.  Only the report's types are accepted: dicts with str keys,
-    lists, str, int, bool and None.  Anything else raises TypeError.
+    lists, str, int, bool and None.  Anything else raises TypeError.  An
+    array of objects the document holds twice, as two stages may hold one
+    candidate's class entries, is encoded once per indent and its text
+    copied: the bytes are unchanged.
     """
     parts: list[str] = []
-    _encode(document, parts.append, "\n")
+    _encode(document, parts.append, "\n", {})
     parts.append("\n")
     return "".join(parts)
 
 
-def _encode(value: Any, append: Callable[[str], None], pad: str) -> None:
+def _encode(value: Any, append: Callable[[str], None], pad: str, seen: dict) -> None:
     """Append value's JSON; pad is a newline plus the current indent.
 
     A module-level function that takes `append`: nested closures over the
     parts list would form a reference cycle on every call, keeping the list
-    alive until the cyclic garbage collector runs.
+    alive until the cyclic garbage collector runs.  seen maps (id, pad) of
+    each array of objects encoded so far to its slice of the parts list.
     """
     kind = type(value)
     if kind is dict:
@@ -368,13 +379,20 @@ def _encode(value: Any, append: Callable[[str], None], pad: str) -> None:
                 append(f"{sep}{_encode_str(key)}: {_encode_str(item)}")
             else:
                 append(f"{sep}{_encode_str(key)}: ")
-                _encode(item, append, inner)
+                _encode(item, append, inner, seen)
             sep = "," + inner
         append(pad + "}")
     elif kind is list:
         if not value:
             append("[]")
             return
+        ref = None
+        if type(value[0]) is dict:
+            ref, parts = (id(value), pad), append.__self__
+            if ref in seen:
+                append("".join(parts[seen[ref]]))
+                return
+            start = len(parts)
         inner = pad + "  "
         sep = "[" + inner
         for item in value:
@@ -382,9 +400,11 @@ def _encode(value: Any, append: Callable[[str], None], pad: str) -> None:
                 append(sep + _encode_str(item))
             else:
                 append(sep)
-                _encode(item, append, inner)
+                _encode(item, append, inner, seen)
             sep = "," + inner
         append(pad + "]")
+        if ref is not None:
+            seen[ref] = slice(start, len(parts))
     elif kind is str:
         append(_encode_str(value))
     elif kind is int:

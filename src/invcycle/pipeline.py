@@ -178,16 +178,23 @@ def _shioda_tate_json(stage: str, config: SurfaceConfig, rho: int) -> dict:
     }
 
 
-def _resolution_json(resolution: DiscResolution) -> dict:
+def _resolution_json(resolution: DiscResolution, rendered: dict) -> dict:
+    """rendered holds each disc's class entries, built once per run, and
+    a copy per set of exclusions with those entries replaced; the stages
+    share them, and dumps_canonical encodes a shared list once."""
     certificate = []
     for cand in resolution.certificate:
-        classes = []
-        for cv in cand.classes:
-            entry: dict[str, Any] = {"form": form_to_json(cv.form)}
-            if cv.excluded_by is not None:
-                entry["excluded_by"] = cv.excluded_by
-                entry["fact_kind"] = cv.fact_kind
-            classes.append(entry)
+        classes = rendered.get(cand.disc)
+        if classes is None:
+            classes = rendered[cand.disc] = [{"form": form_to_json(form)} for form in cand.forms]
+        hits = frozenset(cand.excluded_by.items())
+        if hits:
+            if (cand.disc, hits) not in rendered:
+                marked = rendered[cand.disc, hits] = classes.copy()
+                for i, fact in hits:
+                    form = classes[i]["form"]
+                    marked[i] = {"form": form, "excluded_by": fact.provenance, "fact_kind": fact.kind}
+            classes = rendered[cand.disc, hits]
         item: dict[str, Any] = {
             "alpha": cand.alpha,
             "disc": tagged(cand.disc, "derived"),
@@ -362,6 +369,7 @@ def _resolution_stage(
     reasons = []
     resolved: CentralDiscs = {}
     classes = None  # enumerated on first use, then shared by the stages
+    rendered: dict = {}  # and so are their report entries
     for name, _branch in spec.stages:
         if name in pinned or name not in surfaces:
             continue
@@ -378,7 +386,7 @@ def _resolution_stage(
         resolution = resolve_disc(
             candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
         )
-        items.append({"stage": name, "resolution": _resolution_json(resolution)})
+        items.append({"stage": name, "resolution": _resolution_json(resolution, rendered)})
         resolved[name] = ([d for _a, d in resolution.surviving], "resolution")
         if not resolution.resolved:
             survivors = ", ".join(str(d) for _a, d in resolution.surviving)

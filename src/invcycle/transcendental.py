@@ -12,6 +12,8 @@ discriminants into a verdict about integral invariant cycle lifting.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import attrgetter
 
 from .lattice import (
     BinaryEvenForm,
@@ -82,9 +84,21 @@ class ClassVerdict(FrozenRecord):
 
 
 class CandidateVerdict(FrozenRecord):
-    """reason states a candidate-level exclusion (bounds, empty genus)."""
+    """forms is the disc's class tuple, shared by the stages; excluded_by
+    maps a position in it to the fact that excludes that class.  reason
+    states a candidate-level exclusion (bounds, empty genus)."""
 
-    __slots__ = ("alpha", "disc", "excluded", "reason", "classes")
+    __slots__ = ("alpha", "disc", "excluded", "reason", "forms", "excluded_by")
+
+    @property
+    def classes(self) -> tuple[ClassVerdict, ...]:
+        """One verdict per class, built on demand; a run builds none."""
+        hits = self.excluded_by
+        return tuple(
+            ClassVerdict(form, hits[i].provenance, hits[i].kind) if i in hits
+            else ClassVerdict(form, None, None)
+            for i, form in enumerate(self.forms)
+        )
 
 
 class DiscResolution(FrozenRecord):
@@ -106,28 +120,25 @@ class DiscResolution(FrozenRecord):
 
     @property
     def surviving_form(self) -> BinaryEvenForm | None:
-        """The isometry class, when exactly one class survives overall."""
-        live = [
-            cv.form
-            for cand in self.certificate
-            if not cand.excluded
-            for cv in cand.classes
-            if cv.excluded_by is None
-        ]
-        return live[0] if len(live) == 1 else None
+        """The isometry class, when exactly one class survives overall
+        (a candidate that is not excluded keeps a class)."""
+        live = [cand for cand in self.certificate if not cand.excluded]
+        if len(live) == 1 and len(live[0].forms) == len(live[0].excluded_by) + 1:
+            return next(f for i, f in enumerate(live[0].forms) if i not in live[0].excluded_by)
+        return None
 
 
-def candidate_classes(candidates: list[tuple[int, int]]) -> dict[int, list[BinaryEvenForm]]:
-    """The reduced isometry classes of each candidate discriminant.
+def candidate_classes(candidates: list[tuple[int, int]]) -> dict[int, tuple[BinaryEvenForm, ...]]:
+    """The reduced classes of each candidate discriminant, sorted by (a, b, c).
 
     Built once per run and shared by every stage that resolve_disc runs on.
     """
-    return {disc: enumerate_even_posdef_binary(disc) for _alpha, disc in candidates}
+    return {disc: tuple(enumerate_even_posdef_binary(disc)) for _alpha, disc in candidates}
 
 
 def resolve_disc(
     candidates: list[tuple[int, int]],
-    classes: dict[int, list[BinaryEvenForm]],
+    classes: dict[int, tuple[BinaryEvenForm, ...]],
     facts: list[ExclusionFact],
     context: SurfaceConfig,
     rho: int,
@@ -138,31 +149,32 @@ def resolve_disc(
     `classes` maps each candidate discriminant to its reduced classes
     (see candidate_classes).  A class-level fact kills one reduced form;
     the denominator-bound fact kills a whole candidate.  The certificate
-    records the outcome for every candidate and every class.  All
-    candidates excluded is an error; more than one survivor is a valid
-    ambiguous state.
+    records the outcome for every candidate and, by position in its
+    class tuple, every excluded class.  All candidates excluded is an
+    error; more than one survivor is a valid ambiguous state.
     """
-    context_tokens = context.fiber_tokens()
-    # The first fact that applies here to each reduced form; a
-    # fibration fact applies only to a surface with its fiber multiset.
-    excluding: dict[BinaryEvenForm, ExclusionFact] = {}
+    context_tokens, abc = context.fiber_tokens(), attrgetter("a", "b", "c")
+    # The first fact that applies here to each reduced form, found among
+    # its disc's classes by bisection; a fibration fact applies only to a
+    # surface with its fiber multiset.
+    excluding: dict[int, dict[int, ExclusionFact]] = {disc: {} for _alpha, disc in candidates}
     for fact in facts:
-        if fact.kind in ("not_isomorphic_to", "no_fibration_with_fibers"):
-            form = reduce_binary(fact.form)
-            if fact.kind == "not_isomorphic_to" or tuple(sorted(fact.fibers)) == context_tokens:
-                excluding.setdefault(form, fact)
+        if fact.kind == "denominator_bound":
+            continue
+        form = reduce_binary(fact.form)
+        hits = excluding.get(form.disc)
+        if hits is not None and (
+            fact.kind == "not_isomorphic_to" or tuple(sorted(fact.fibers)) == context_tokens
+        ):
+            forms = classes[form.disc]
+            i = bisect_left(forms, abc(form), key=abc)
+            if i < len(forms) and forms[i] == form:
+                hits.setdefault(i, fact)
     certificate = []
     surviving = []
     for alpha, disc in candidates:
-        reason = None
-        class_verdicts = []
-        for cls in classes[disc]:
-            hit = excluding.get(cls)
-            class_verdicts.append(
-                ClassVerdict(cls, hit.provenance if hit else None, hit.kind if hit else None)
-            )
-        if not class_verdicts:
-            reason = "no even positive-definite binary form has this discriminant"
+        forms, hits = classes[disc], excluding[disc]
+        reason = None if forms else "no even positive-definite binary form has this discriminant"
         for fact in facts:
             if fact.kind != "denominator_bound" or reason is not None:
                 continue
@@ -171,10 +183,8 @@ def resolve_disc(
             check = check_disc_consistency(context, disc, rho, torsion_order)
             if not check.consistent:
                 reason = f"{check.reason} [{fact.provenance}]"
-        excluded = reason is not None or (
-            bool(class_verdicts) and all(cv.excluded_by is not None for cv in class_verdicts)
-        )
-        certificate.append(CandidateVerdict(alpha, disc, excluded, reason, tuple(class_verdicts)))
+        excluded = reason is not None or len(hits) == len(forms)
+        certificate.append(CandidateVerdict(alpha, disc, excluded, reason, forms, hits))
         if not excluded:
             surviving.append((alpha, disc))
     if not surviving:

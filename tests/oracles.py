@@ -323,3 +323,44 @@ def max_square_divisor_root_scan(disc):
     O(sqrt(disc)) steps and no factoring, the reference for
     `transcendental.square_divisor_primes`."""
     return max((m for m in range(2, math.isqrt(disc) + 1) if disc % (m * m) == 0), default=1)
+
+
+def resolve_by_classes(candidates, classes, facts, context_tokens, bound_failure):
+    """Discriminant resolution by one pass over every class of every
+    candidate, the reference for `transcendental.resolve_disc`.
+
+    `classes` maps each candidate disc to its reduced (a, b, c) triples.
+    `facts` are records with `kind`, `form` (with `a`, `b`, `c`), `fibers`
+    and `provenance`; the first fact whose form reduces to a class
+    excludes it, and a fibration fact counts only when its sorted fibers
+    are `context_tokens`.  `bound_failure(disc)` is the height-bound
+    failure text for disc, or None.  Returns the certificate as
+    (alpha, disc, excluded, reason, [(triple, provenance, kind), ...])
+    per candidate, the surviving (alpha, disc) pairs, and the one class
+    left overall as a triple, or None.
+    """
+    excluding = {}
+    for fact in facts:
+        if fact.kind == "denominator_bound":
+            continue
+        if fact.kind == "no_fibration_with_fibers" and tuple(sorted(fact.fibers)) != tuple(context_tokens):
+            continue
+        excluding.setdefault(reduce_triple(fact.form.a, fact.form.b, fact.form.c), fact)
+    certificate, surviving, live = [], [], []
+    for alpha, disc in candidates:
+        verdicts = []
+        for triple in classes[disc]:
+            hit = excluding.get(triple)
+            verdicts.append((triple, hit and hit.provenance, hit and hit.kind))
+        reason = None if verdicts else "no even positive-definite binary form has this discriminant"
+        for fact in facts:
+            if fact.kind == "denominator_bound" and reason is None:
+                failure = bound_failure(disc)
+                if failure is not None:
+                    reason = f"{failure} [{fact.provenance}]"
+        excluded = reason is not None or all(provenance is not None for _t, provenance, _k in verdicts)
+        certificate.append((alpha, disc, excluded, reason, verdicts))
+        if not excluded:
+            surviving.append((alpha, disc))
+            live += [triple for triple, provenance, _k in verdicts if provenance is None]
+    return certificate, surviving, live[0] if len(live) == 1 else None

@@ -713,6 +713,10 @@ class TestConfigAndBranchErrors:
                 "fiber 'a'; fiber labels must be distinct",
             ),
             (
+                ("basechange", "custom"), [("a", "II*"), ("b", "IV*"), ("a", "I0*")], 0, ["a", "b"], False,
+                "config.fibers[2].label: 'a' is also config.fibers[0].label; fiber labels must be distinct",
+            ),
+            (
                 # The family stage branches at all three stars; Y0 omits a.
                 ("custom",), COLLIDING, 0, ["a", "a.1", "b", "t"], False,
                 "config.fibers[1].label: 'a.1' is also the label of a copy of the unbranched "
@@ -741,7 +745,7 @@ class TestConfigAndBranchErrors:
                 "got kind 'other' with e = 24",
             ),
         ],
-        ids=["label-collision", "label-collision-at-Y0", "rho-below-trivial-rank",
+        ids=["label-collision", "duplicate-label", "label-collision-at-Y0", "rho-below-trivial-rank",
              "genus-0-empty-branch", "euler-13", "rational-seed", "genus-1-seed"],
     )
     def test_error_names_the_field(self, tmp_path, capsys, commands, fibers, genus, branch, picard, line):

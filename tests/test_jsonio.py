@@ -30,6 +30,7 @@ from invcycle.jsonio import (
     parse_surface_config,
     surface_config_to_json,
 )
+from invcycle.kodaira import FiberTokenError, fiber
 from invcycle.lattice import BinaryEvenForm, GramLattice
 from invcycle.pipeline import run_example
 from invcycle.transcendental import FACT_KINDS
@@ -446,6 +447,29 @@ class TestCanonicalDump:
         with pytest.raises(TypeError):
             dumps_canonical(document)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        head=st.dictionaries(TEXT, DOCUMENTS, max_size=3),
+        tail=st.lists(DOCUMENTS, max_size=3),
+        depth=st.integers(0, 3),
+    )
+    def test_shared_arrays_match_stdlib(self, head, tail, depth):
+        # One array of objects held twice at one indent, at other indents
+        # and inside another shared array of objects, and a shared [].
+        shared, empty = [head, *tail], []
+        outer = [{"inner": shared, "again": shared}, {"empty": empty}, shared]
+        document = {
+            "same_indent": [shared, shared],
+            "a": shared,
+            "b": shared,
+            "deeper": {"x": [{"y": shared}]},
+            "outer": [outer, outer, {"o": outer}],
+            "empty": [empty, empty, {"e": empty}],
+        }
+        for _ in range(depth):
+            document = [document, {"k": document}]
+        assert dumps_canonical(document) == stdlib_canonical(document)
+
     def test_leaves_no_reference_cycle(self):
         # A cycle would keep the parts list alive until the cyclic collector
         # ran.  The stdlib's indent path, nested closures, leaves one.
@@ -508,3 +532,19 @@ def test_schema_enums_match_the_parser():
     assert defs["stage"]["enum"] == list(STAGE_NAMES)
     assert entry["properties"]["name"]["enum"] == list(_PAYLOAD_FIELDS)
     assert defs["exclusionFact"]["properties"]["kind"]["enum"] == list(FACT_KINDS)
+
+
+# Tokens on both sides of the fiberToken pattern; the parser takes exactly these.
+FIBER_TOKENS_ACCEPTED = ("II", "II*", "III", "III*", "IV", "IV*", "I0", "I0*", "I7", "I3*")
+
+
+@pytest.mark.parametrize("token", ["I", "I*", *FIBER_TOKENS_ACCEPTED, "I01", "V"])
+def test_schema_fiber_token_pattern_matches_the_parser(token):
+    defs = load_schema()["$defs"]
+    in_schema = jsonschema.Draft202012Validator(defs["fiberToken"]).is_valid(token)
+    try:
+        fiber(token)
+        parsed = True
+    except FiberTokenError:
+        parsed = False
+    assert in_schema == parsed == (token in FIBER_TOKENS_ACCEPTED)

@@ -1,13 +1,17 @@
 """End-to-end pipeline reports: frozen values, tampering, failure paths."""
 
+import importlib.util
 import json
+import random
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcycle import jsonio, lattice
+from invcycle import jsonio, lattice, transcendental
 from invcycle.jsonio import SchemaError, parse_branch_spec, parse_surface_config
 from invcycle.kodaira import euler_number, fiber
 from invcycle.pipeline import (
@@ -589,3 +593,71 @@ class TestRenderingBuildsNoLattice:
         (few, small_built), (many, large_built) = runs[1], runs[1000]
         assert many > 10 * few
         assert large_built == small_built, runs
+
+
+def generated_certificate(seed, disc):
+    """One certificate of the benchmark's `certificates` generator, parsed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_for_pipeline", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    config, branch, assumptions, _params = workloads.certificate_files(
+        rng, workloads.CertificateDecks(rng), disc, "work-count"
+    )
+    return build_pipeline_spec(
+        parse_surface_config(config), parse_branch_spec(branch), jsonio.parse_assumptions(assumptions)
+    )
+
+
+class TestClassWorkOncePerRun:
+    """Counts, not times: a run with two resolved stages enumerates each
+    candidate's classes once, builds no per-class record, and hands both
+    stages one class list where neither excludes a class."""
+
+    def test_two_stages_share_the_class_work(self, monkeypatch):
+        # Seed 36 draws disc(T') = 10000, so the candidates are 10000, 40000
+        # and 160000.  Two Y stages are resolved, and facts exclude classes
+        # of the first and last candidates, none of the middle one.
+        spec = generated_certificate(36, 10**4)
+        enumerated, verdicts = [], []
+        enumerate_classes = transcendental.enumerate_even_posdef_binary
+        build_verdict = transcendental.ClassVerdict.__init__
+
+        def enumerate_counted(disc):
+            enumerated.append(disc)
+            return enumerate_classes(disc)
+
+        def verdict_counted(self, *args):
+            verdicts.append(args)
+            build_verdict(self, *args)
+
+        monkeypatch.setattr(transcendental, "enumerate_even_posdef_binary", enumerate_counted)
+        monkeypatch.setattr(transcendental.ClassVerdict, "__init__", verdict_counted)
+        report = run_pipeline(spec)
+        report_to_json(report)
+        candidates = [item["disc"]["value"] for item in report["analysis"]["candidates"]["list"]]
+        assert candidates[0] == 10000
+        assert sorted(enumerated) == candidates
+        assert verdicts == []
+
+        first, second = (item["resolution"]["certificate"] for item in report["analysis"]["resolutions"])
+        untouched = [
+            j for j in range(3)
+            if not any("excluded_by" in entry for entry in first[j]["classes"] + second[j]["classes"])
+        ]
+        assert untouched == [1]
+        assert first[1]["classes"] is second[1]["classes"]
+        # Stages that exclude the same classes by the same facts share one
+        # marked copy too; here that is the last candidate.
+        shared = [j for j in range(3) if first[j]["classes"] is second[j]["classes"]]
+        assert shared == [j for j in range(3) if first[j]["classes"] == second[j]["classes"]] == [1, 2]
+
+        # The property builds the records on demand, and only there.
+        pairs = list(enumerate(candidates))
+        resolution = transcendental.resolve_disc(
+            pairs, transcendental.candidate_classes(pairs), [], spec.seed, 20, None
+        )
+        assert verdicts == []
+        assert len(resolution.certificate[1].classes) == len(verdicts) > 0

@@ -185,7 +185,7 @@ FIELDS = {
     BaseChangeResult: ("config", "delta", "euler_before", "euler_after", "d_before", "d_after", "log"),
     ExclusionFact: ("kind", "form", "fibers", "provenance"),
     ClassVerdict: ("form", "excluded_by", "fact_kind"),
-    CandidateVerdict: ("alpha", "disc", "excluded", "reason", "classes"),
+    CandidateVerdict: ("alpha", "disc", "excluded", "reason", "forms", "excluded_by"),
     DiscResolution: ("certificate", "surviving"),
     RigidityCheck: ("index", "status", "detail"),
     RigidityCertificate: (
@@ -215,7 +215,7 @@ def pipeline_records():
     bc = quadratic_base_change(SEED, BRANCH)
     fact = ExclusionFact("not_isomorphic_to", A2, None, "p")
     verdict = ClassVerdict(A2, "p", "not_isomorphic_to")
-    candidate = CandidateVerdict(0, 3, True, None, (verdict,))
+    candidate = CandidateVerdict(0, 3, True, None, (A2,), {0: fact})
     rigid = rigidity_transfer(A2)
     check = check_disc_consistency(SEED, 12, 20, 1)
     return [
@@ -228,7 +228,7 @@ def pipeline_records():
         (bc, quadratic_base_change(SEED, BranchSpec(frozenset({"0", "2"})))),
         (fact, ExclusionFact("not_isomorphic_to", A2, None, "q")),
         (verdict, ClassVerdict(A2, None, None)),
-        (candidate, CandidateVerdict(0, 3, False, None, ())),
+        (candidate, CandidateVerdict(0, 3, False, None, (A2,), {})),
         (DiscResolution((candidate,), ()), DiscResolution((candidate,), ((0, 3),))),
         (rigid.checks[0], rigid.checks[1]),
         (rigid, rigidity_transfer(BinaryEvenForm(2, 0, 2))),
@@ -258,7 +258,16 @@ def test_pipeline_record_equality(record, other):
         record < again
 
 
-@pytest.mark.parametrize("record, other", pipeline_records()[1:], ids=lambda r: type(r).__name__)
+# Records with a dict field: the spec's assumption maps, and a candidate's
+# excluded classes by position (so also the resolution that holds it).
+WITH_DICTS = (PipelineSpec, CandidateVerdict, DiscResolution)
+
+
+@pytest.mark.parametrize(
+    "record, other",
+    [pair for pair in pipeline_records() if type(pair[0]) not in WITH_DICTS],
+    ids=lambda r: type(r).__name__,
+)
 def test_pipeline_record_hash_is_the_field_tuple_hash(record, other):
     assert hash(record) == hash(by_keyword(record)) == hash(field_tuple(record))
     assert len({record, by_keyword(record), other}) == 2
@@ -268,6 +277,16 @@ def test_pipeline_spec_with_dicts_is_unhashable():
     spec, _other = pipeline_records()[0]
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(spec)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [record for record, _other in pipeline_records() if type(record) in WITH_DICTS[1:]],
+    ids=lambda r: type(r).__name__,
+)
+def test_resolution_records_with_dicts_are_unhashable(record):
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(record)
 
 
 @pytest.mark.parametrize("record, other", pipeline_records(), ids=lambda r: type(r).__name__)
@@ -315,16 +334,38 @@ def test_reason_defaults_to_conditional():
     assert Reason("n", conditional=False) == Reason("n", False)
 
 
+FACT = ExclusionFact("not_isomorphic_to", A2, None, "p")
+
+
 def test_disc_resolution_properties():
-    live = CandidateVerdict(1, 12, False, None, (ClassVerdict(A2, None, None),))
-    dead = CandidateVerdict(0, 3, True, None, (ClassVerdict(A2, "p", "not_isomorphic_to"),))
+    live = CandidateVerdict(1, 12, False, None, (A2,), {})
+    dead = CandidateVerdict(0, 3, True, None, (A2,), {0: FACT})
     resolved = DiscResolution((dead, live), ((1, 12),))
     assert (resolved.resolved, resolved.resolved_disc, resolved.alpha) == (True, 12, 1)
     assert resolved.surviving_form == A2
-    two = CandidateVerdict(2, 48, False, None, (ClassVerdict(BinaryEvenForm(1, 0, 12), None, None),))
+    two = CandidateVerdict(2, 48, False, None, (BinaryEvenForm(1, 0, 12),), {})
     ambiguous = DiscResolution((live, two), ((1, 12), (2, 48)))
     assert (ambiguous.resolved, ambiguous.resolved_disc, ambiguous.alpha) == (False, None, None)
     assert ambiguous.surviving_form is None
+
+
+def test_surviving_form_counts_the_live_classes():
+    forms = (BinaryEvenForm(1, 0, 3), BinaryEvenForm(2, 2, 2))
+    one_left = CandidateVerdict(1, 12, False, None, forms, {0: FACT})
+    assert DiscResolution((one_left,), ((1, 12),)).surviving_form == BinaryEvenForm(2, 2, 2)
+    two_left = CandidateVerdict(1, 12, False, None, forms, {})
+    assert DiscResolution((two_left,), ((1, 12),)).surviving_form is None
+
+
+def test_candidate_classes_are_built_on_demand():
+    forms = (BinaryEvenForm(1, 0, 3), BinaryEvenForm(2, 2, 2))
+    candidate = CandidateVerdict(1, 12, False, None, forms, {1: FACT})
+    assert candidate.classes == (
+        ClassVerdict(BinaryEvenForm(1, 0, 3), None, None),
+        ClassVerdict(BinaryEvenForm(2, 2, 2), "p", "not_isomorphic_to"),
+    )
+    with pytest.raises(AttributeError):
+        candidate.classes = ()
 
 
 @pytest.mark.parametrize("kwargs, error, message", [

@@ -15,8 +15,10 @@ from invcycle.lattice import (
     reduce_binary,
     root_gram,
 )
+from invcycle.mordell_weil import check_disc_consistency
 from invcycle.surfaces import SurfaceConfig
 from invcycle.transcendental import (
+    FACT_KINDS,
     VERDICT_FAILS,
     VERDICT_HOLDS_POSSIBLE,
     ExclusionFact,
@@ -29,7 +31,7 @@ from invcycle.transcendental import (
     specialization_index,
     square_divisor_primes,
 )
-from oracles import max_square_divisor_root_scan
+from oracles import even_posdef_binary_scan, max_square_divisor_root_scan, resolve_by_classes
 
 
 def config(tokens, genus=0):
@@ -256,6 +258,86 @@ class TestResolveDisc:
         )
         assert res.resolved
         assert res.surviving_form == BinaryEvenForm(2, 2, 2)
+
+
+# Stage contexts for the resolution property: rank-0 (E8, E6, D4) and
+# rank-2 (example 1's Y2) Mordell-Weil lattices at rho = 20.
+CONTEXTS = (config(["II*", "IV*", "I0*"]), EX1_Y2)
+
+
+def unreduce(draw, a, b, c):
+    """(a, b, c) moved by a few random GL2(Z) steps: the same class, mostly unreduced."""
+    for _ in range(draw(st.integers(0, 3))):
+        step = draw(st.sampled_from(["shift", "swap", "flip"]))
+        if step == "shift":
+            k = draw(st.integers(-3, 3))
+            a, b, c = a, b + 2 * a * k, a * k * k + b * k + c
+        elif step == "swap":
+            a, b, c = c, -b, a
+        else:
+            b = -b
+    return BinaryEvenForm(a, b, c)
+
+
+@st.composite
+def resolution_inputs(draw):
+    """Candidates of a seed disc 4k, a stage context, a torsion order, and
+    facts naming classes of the candidates (unreduced, repeated with other
+    provenances), unrelated forms, matching and other fiber lists, and
+    denominator bounds."""
+    candidates = double_cover_disc_candidates(4 * draw(st.integers(1, 150)))
+    context = draw(st.sampled_from(CONTEXTS))
+    pool = [form for _alpha, disc in candidates for form in even_posdef_binary_scan(disc)]
+    facts = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(FACT_KINDS))
+        provenance = draw(st.sampled_from(["p0", "p1", "p2"]))
+        if kind == "denominator_bound":
+            facts.append(ExclusionFact(kind, None, None, provenance))
+            continue
+        if pool and draw(st.booleans()):
+            form = unreduce(draw, *draw(st.sampled_from(pool)))
+        else:
+            a, c = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+            form = BinaryEvenForm(a, draw(st.integers(-1, 1)) * min(a, c), c)
+        fibers = None
+        if kind == "no_fibration_with_fibers":
+            fibers = draw(st.sampled_from([
+                tuple(reversed(context.fiber_tokens())), context.fiber_tokens(), ("II*", "II*", "IV"),
+            ]))
+        facts.append(ExclusionFact(kind, form, fibers, provenance))
+    return candidates, context, draw(st.sampled_from([None, 1, 2])), facts
+
+
+class TestResolveDiscOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(resolution_inputs())
+    def test_matches_the_per_class_loop(self, inputs):
+        candidates, context, torsion, facts = inputs
+
+        def bound_failure(disc):
+            if torsion is None:
+                return None
+            check = check_disc_consistency(context, disc, 20, torsion)
+            return None if check.consistent else check.reason
+
+        classes = {disc: even_posdef_binary_scan(disc) for _alpha, disc in candidates}
+        certificate, surviving, form = resolve_by_classes(
+            candidates, classes, facts, context.fiber_tokens(), bound_failure
+        )
+        try:
+            res = resolve_disc(candidates, candidate_classes(candidates), facts, context, 20, torsion)
+        except NothingSurvivesError:
+            assert surviving == []
+            return
+        assert [
+            (cand.alpha, cand.disc, cand.excluded, cand.reason,
+             [((cv.form.a, cv.form.b, cv.form.c), cv.excluded_by, cv.fact_kind) for cv in cand.classes])
+            for cand in res.certificate
+        ] == certificate
+        assert list(res.surviving) == surviving
+        found = res.surviving_form
+        assert (found and (found.a, found.b, found.c)) == form
 
 
 class TestRigidity:
