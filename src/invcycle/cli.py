@@ -3,7 +3,10 @@
 Exit codes: 0 when every stage of a verification run is decisively
 resolved, 2 when the run completed but some conclusion stayed ambiguous
 or was skipped for lack of inputs (--strict turns that into 1), and 1
-for contradictions, malformed input, or any other error.
+for contradictions, malformed input, or any other error.  argparse also
+exits 2 when it refuses the command line (an unknown command, a missing
+or ill-typed option, an extra argument): a usage line and the error go
+to stderr, and nothing to stdout.
 
 Each handler imports the modules it runs, so `lattice …` and `fiber …`
 load `jsonio`, `lattice` and `kodaira` only, never the pipeline.
@@ -173,7 +176,9 @@ def _cmd_basechange(args) -> int:
     })
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaves: dict) -> argparse.ArgumentParser:
+    """The `verify` parser.  Each command's own parser is also stored in
+    leaves under the command's words, such as ("lattice", "reduce")."""
     parser = argparse.ArgumentParser(
         prog="verify",
         description=(
@@ -182,6 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(group, words, func, help):
+        p = group.add_parser(words[-1], help=help)
+        p.set_defaults(func=func)
+        leaves[words] = p
+        return p
 
     def add_report_flags(p):
         p.add_argument(
@@ -199,54 +210,66 @@ def build_parser() -> argparse.ArgumentParser:
             help="treat ambiguous or skipped conclusions as failure (exit 1)",
         )
 
-    p_example = sub.add_parser("example", help="run a bundled verification pipeline")
+    p_example = command(sub, ("example",), _cmd_example, "run a bundled verification pipeline")
     p_example.add_argument("number", type=int, choices=(1, 2))
     add_report_flags(p_example)
-    p_example.set_defaults(func=_cmd_example)
 
-    p_custom = sub.add_parser("custom", help="run a pipeline from JSON input files")
+    p_custom = command(sub, ("custom",), _cmd_custom, "run a pipeline from JSON input files")
     p_custom.add_argument("--config", required=True, help="seed fibration JSON")
     p_custom.add_argument("--branch", required=True, help="family branch specification JSON")
     p_custom.add_argument("--assumptions", required=True, help="assumption ledger JSON")
     add_report_flags(p_custom)
-    p_custom.set_defaults(func=_cmd_custom)
 
     p_fiber = sub.add_parser("fiber", help="fiber-type arithmetic")
     fiber_sub = p_fiber.add_subparsers(dest="fiber_command", required=True)
-    p_info = fiber_sub.add_parser("info", help="arithmetic profile of one Kodaira symbol")
+    p_info = command(fiber_sub, ("fiber", "info"), _cmd_fiber,
+                     "arithmetic profile of one Kodaira symbol")
     p_info.add_argument("token", help="fiber symbol, e.g. II*, I0*, I6")
-    p_info.set_defaults(func=_cmd_fiber)
 
     p_lat = sub.add_parser("lattice", help="binary even form and overlattice tools")
     lat_sub = p_lat.add_subparsers(dest="lattice_command", required=True)
 
-    p_red = lat_sub.add_parser("reduce", help="Gauss-reduce an even positive definite 2x2 Gram")
+    p_red = command(lat_sub, ("lattice", "reduce"), _cmd_lattice_reduce,
+                    "Gauss-reduce an even positive definite 2x2 Gram")
     p_red.add_argument("--gram", required=True, help='JSON matrix, e.g. "[[4,2],[2,4]]"')
-    p_red.set_defaults(func=_cmd_lattice_reduce)
 
-    p_enum = lat_sub.add_parser("enumerate", help="all reduced classes of a given discriminant")
+    p_enum = command(lat_sub, ("lattice", "enumerate"), _cmd_lattice_enumerate,
+                     "all reduced classes of a given discriminant")
     p_enum.add_argument("--disc", required=True, type=int)
-    p_enum.set_defaults(func=_cmd_lattice_enumerate)
 
-    p_over = lat_sub.add_parser("overlattices", help="even overlattices of a given index")
+    p_over = command(lat_sub, ("lattice", "overlattices"), _cmd_lattice_overlattices,
+                     "even overlattices of a given index")
     p_over.add_argument("--gram", required=True, help="JSON Gram matrix")
     p_over.add_argument("--index", required=True, type=int)
-    p_over.set_defaults(func=_cmd_lattice_overlattices)
 
-    p_bc = sub.add_parser("basechange", help="quadratic base change of a fibration file")
+    p_bc = command(sub, ("basechange",), _cmd_basechange,
+                   "quadratic base change of a fibration file")
     p_bc.add_argument("--config", required=True)
     p_bc.add_argument("--branch", required=True)
-    p_bc.set_defaults(func=_cmd_basechange)
 
     return parser
 
 
 # Built once: parse_args leaves no state behind in the parser.
-_PARSER = build_parser()
+_LEAVES: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+_PARSER = build_parser(_LEAVES)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_PARSER.parse_args(argv).  _PARSER would hand a named command's parser
+    the words after the name, so that parser answers alone, errors and help
+    included, unless it leaves a word over: _PARSER's error names those."""
+    for n in (1, 2):
+        leaf = _LEAVES.get(tuple(argv[:n]))
+        if leaf is not None:
+            args, rest = leaf.parse_known_args(argv[n:])
+            if not rest:
+                return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (InputError, ValueError, OSError, PipelineError) as exc:

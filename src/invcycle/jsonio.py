@@ -91,12 +91,12 @@ def parse_int_entry(value: Any, where: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        stripped = value.strip()
-        digits = stripped[1:] if stripped[:1] in "+-" else stripped
-        # ASCII only: str.isdigit() and int() also take other scripts' digits.
+        digits = value[1:] if value[:1] in "+-" else value
+        # ASCII digits only, as in the schema's intString: str.isdigit() and
+        # int() also take other scripts' digits, and int() takes blanks.
         if digits.isascii() and digits.isdigit():
             try:
-                return int(stripped)
+                return int(value)
             except ValueError as exc:
                 raise _digit_limit_error(where, exc) from None
         raise ParseError(f"{where}: {value!r} is not a decimal integer string")

@@ -477,10 +477,11 @@ class TestPythonLimits:
 
 
 class TestNonAsciiDigits:
-    """Gram entries take ASCII digits only, as the schema's ^[+-]?[0-9]+$
-    says; str.isdigit() and int() would also read, say, Arabic-Indic ones."""
+    """Gram entries take ASCII digits only, and no blanks, as the schema's
+    ^[+-]?[0-9]+$ says; str.isdigit() and int() would also read, say,
+    Arabic-Indic ones, and int() would strip blanks."""
 
-    @pytest.mark.parametrize("entry", ["\u0664", "-\u0664", "4\u0664", "\uff14", "\u00b2"])
+    @pytest.mark.parametrize("entry", ["\u0664", "-\u0664", "4\u0664", "\uff14", "\u00b2", " 4 "])
     def test_gram_argument(self, capsys, entry):
         gram = json.dumps([[entry, 2], [2, "4"]])
         err = main_error(capsys, ["lattice", "reduce", "--gram", gram])
@@ -839,3 +840,115 @@ class TestArgparseBehavior:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert "verify" in proc.stdout
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), argparse's exits included."""
+    from invcycle import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parser_outcome(argv):
+    """outcome(argv) with the leaf table emptied, so every argv goes
+    through the top parser, the group parser and the leaf parser."""
+    from invcycle import cli
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_LEAVES", {})
+        return outcome(argv)
+
+
+@pytest.fixture(scope="module")
+def example1_dir(tmp_path_factory):
+    """A directory holding example 1's config.json, branch.json and
+    assumptions.json, for argvs that name them relative to it."""
+    workdir = tmp_path_factory.mktemp("example1")
+    for name in ("config.json", "branch.json", "assumptions.json"):
+        source = resources.files("invcycle").joinpath("data", "example1", name)
+        (workdir / name).write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
+    return workdir
+
+
+# One valid argv per command; example, custom and basechange read example 1.
+FILES = ["--config", "config.json", "--branch", "branch.json"]
+COMMAND_ARGVS = {
+    "example": ["example", "2", "--json"],
+    "custom": ["custom", *FILES, "--assumptions", "assumptions.json"],
+    "basechange": ["basechange", *FILES],
+    "fiber info": ["fiber", "info", "I5"],
+    "lattice reduce": ["lattice", "reduce", "--gram", "[[4,2],[2,4]]"],
+    "lattice enumerate": ["lattice", "enumerate", "--disc", "12"],
+    "lattice overlattices": ["lattice", "overlattices", "--gram", "[[4,0],[0,4]]", "--index", "2"],
+}
+# Each option and an abbreviation of it, the command words, and values
+# that some option takes and others refuse.
+OPTIONS = [
+    "--gram", "--gr", "--disc", "--di", "--index", "--ind", "--json", "--js", "--out", "--ou",
+    "--strict", "--st", "--config", "--conf", "--branch", "--br", "--assumptions", "--as",
+]
+WORDS = ["example", "custom", "basechange", "fiber", "info", "lattice", "reduce", "enumerate",
+         "overlattices", "frobnicate", "-h", "--", "extra"]
+VALUES = st.one_of(
+    st.integers(-5, 1000).map(str),
+    st.sampled_from([
+        "I5", "II*", "I0*", "abc", "-5", "[[4,2],[2,4]]", "[[2,1],[1,2]]", "[[4,0],[0,4]]",
+        "[[2,0],[0,3]]", "[[4,2]]", "config.json", "branch.json", "assumptions.json", "out.json",
+    ]),
+)
+TOKENS = st.one_of(
+    st.sampled_from(OPTIONS + WORDS),
+    VALUES,
+    st.builds(lambda option, value: f"{option}={value}", st.sampled_from(OPTIONS), VALUES),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A command's valid argv (or the empty one) with up to three tokens
+    inserted, deleted or replaced."""
+    argv = list(draw(st.sampled_from([[], *COMMAND_ARGVS.values()])))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert" or not argv:
+            argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
+            continue
+        i = draw(st.integers(0, len(argv) - 1))
+        if edit == "delete":
+            del argv[i]
+        else:
+            argv[i] = draw(TOKENS)
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=argvs())
+def test_leaf_parser_matches_the_full_parser(example1_dir, argv):
+    """Parsing by the named command's parser alone answers every argv,
+    valid or not, with the exit code, stdout and stderr of the full
+    parser.  Files that --json or --out name are written to example1_dir."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(example1_dir)
+        assert outcome(argv) == full_parser_outcome(argv)
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGVS)
+def test_commands_parse_without_the_full_parser(example1_dir, monkeypatch, command):
+    from invcycle import cli
+
+    argv = COMMAND_ARGVS[command]
+    monkeypatch.chdir(example1_dir)
+    expected = full_parser_outcome(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the full parser ran for {argv}")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    assert outcome(argv) == expected
+    assert expected[0] == (2 if command == "example" else 0)
