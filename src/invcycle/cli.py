@@ -258,13 +258,14 @@ _PARSER = build_parser(_LEAVES)
 def _parse(argv: list[str]) -> argparse.Namespace:
     """_PARSER.parse_args(argv).  _PARSER would hand a named command's parser
     the words after the name, so that parser answers alone, errors and help
-    included, unless it leaves a word over: _PARSER's error names those."""
+    included; words it leaves over get _PARSER's error, as they would there."""
     for n in (1, 2):
         leaf = _LEAVES.get(tuple(argv[:n]))
         if leaf is not None:
             args, rest = leaf.parse_known_args(argv[n:])
-            if not rest:
-                return args
+            if rest:
+                _PARSER.error("unrecognized arguments: " + " ".join(rest))
+            return args
     return _PARSER.parse_args(argv)
 
 

@@ -6,11 +6,12 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -865,15 +866,22 @@ def full_parser_outcome(argv):
         return outcome(argv)
 
 
-@pytest.fixture(scope="module")
-def example1_dir(tmp_path_factory):
-    """A directory holding example 1's config.json, branch.json and
-    assumptions.json, for argvs that name them relative to it."""
-    workdir = tmp_path_factory.mktemp("example1")
+def copy_example1(workdir):
+    """workdir, made if need be, with example 1's config.json, branch.json
+    and assumptions.json written into it for argvs that name them."""
+    workdir.mkdir(exist_ok=True)
     for name in ("config.json", "branch.json", "assumptions.json"):
         source = resources.files("invcycle").joinpath("data", "example1", name)
         (workdir / name).write_text(source.read_text(encoding="utf-8"), encoding="utf-8")
     return workdir
+
+
+def outcome_in(workdir, run, argv):
+    """run(argv) with a fresh copy of example 1 in workdir as the working
+    directory: --json and --out may name an input file and write over it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(copy_example1(workdir))
+        return run(argv)
 
 
 # One valid argv per command; example, custom and basechange read example 1.
@@ -929,26 +937,27 @@ def argvs(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(argv=argvs())
-def test_leaf_parser_matches_the_full_parser(example1_dir, argv):
+@example(argv=["custom", *FILES, "--assumptions", "assumptions.json", "--json=config.json"])
+def test_leaf_parser_matches_the_full_parser(argv):
     """Parsing by the named command's parser alone answers every argv,
     valid or not, with the exit code, stdout and stderr of the full
-    parser.  Files that --json or --out name are written to example1_dir."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(example1_dir)
-        assert outcome(argv) == full_parser_outcome(argv)
+    parser.  Each side runs in its own copy of example 1."""
+    with tempfile.TemporaryDirectory() as leaf_dir, tempfile.TemporaryDirectory() as full_dir:
+        leaf = outcome_in(Path(leaf_dir), outcome, argv)
+        full = outcome_in(Path(full_dir), full_parser_outcome, argv)
+    assert leaf == full
 
 
 @pytest.mark.parametrize("command", COMMAND_ARGVS)
-def test_commands_parse_without_the_full_parser(example1_dir, monkeypatch, command):
+def test_commands_parse_without_the_full_parser(tmp_path, monkeypatch, command):
     from invcycle import cli
 
     argv = COMMAND_ARGVS[command]
-    monkeypatch.chdir(example1_dir)
-    expected = full_parser_outcome(argv)
+    expected = outcome_in(tmp_path / "full", full_parser_outcome, argv)
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"the full parser ran for {argv}")
 
     monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
-    assert outcome(argv) == expected
+    assert outcome_in(tmp_path / "leaf", outcome, argv) == expected
     assert expected[0] == (2 if command == "example" else 0)
