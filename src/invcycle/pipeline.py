@@ -3,14 +3,13 @@
 A pipeline takes a seed fibration, one even branch specification for the
 family base change, and a ledger of assumptions (Picard numbers, torsion
 orders, externally certified exclusion facts) that `jsonio` parsed once
-into typed values.  `run_pipeline` runs seven stage functions in order:
-`_seed_stage`, `_covering_stages`, `_shioda_inose_stage`,
-`_assumed_lattices`, `_resolution_stage`, `_height_checks` and
-`_specialization_stage`.  Each takes the spec, and what earlier stages
-derived, and returns its part of the report with the `Reason`s it found.
-The run is 'conditional' exactly when some reason is, and the notes are
-the reasons' notes in stage order.  The JSON document is the contract
-and the text rendering is derived from it.
+into typed values.  `run_pipeline` checks that the seed is a K3
+fibration and runs the stages of `_STAGES` in order on one `_Run`.
+Each stage reads the spec and what earlier stages left on the run,
+writes its part of the report there and records its `Reason`s through
+`_Run.note`.  The run is 'conditional' exactly when some reason is, and
+the notes are the reasons' notes in stage order.  The JSON document is
+the contract and the text rendering is derived from it.
 
 Every number in the report carries a tag: 'paper' for values quoted from
 the published fiber tables, 'trivial' for bookkeeping identities,
@@ -120,13 +119,32 @@ class Reason(FrozenRecord):
 
     __slots__ = ("note", "conditional")
 
-    def __init__(self, note: str | None, conditional: bool = True) -> None:
-        super().__init__(note, conditional)
 
+class _Run:
+    """What one run has derived so far, and the report sections it has written.
 
-# Stage name -> (its central discriminants, where they come from).
-CentralDiscs = dict[str, tuple[list[int], str]]
-Surfaces = dict[str, tuple[SurfaceConfig, SurfaceInvariants]]
+    `surfaces` maps each covering stage that ran to its configuration and
+    invariants; the seed X is not among them.  `pinned` maps a stage to its
+    central discriminants and where they come from.  `nearby_disc` is known
+    once a rigid quotient lattice fixes it.
+    """
+
+    def __init__(self, spec: PipelineSpec, seed_inv: SurfaceInvariants) -> None:
+        self.spec = spec
+        self.seed_inv = seed_inv
+        self.surfaces: dict[str, tuple[SurfaceConfig, SurfaceInvariants]] = {}
+        self.candidates: list[tuple[int, int]] = []
+        self.pinned: dict[str, tuple[list[int], str]] = {}
+        self.nearby_disc: int | None = None
+        self.reasons: list[Reason] = []
+        self.seed: dict[str, Any] = {}
+        self.stages: list[dict] = []
+        self.analysis: dict[str, Any] = {}
+        self.specialization: dict[str, Any] = {}
+
+    def note(self, note: str | None, conditional: bool = True) -> None:
+        """Record a reason, conditional unless said otherwise."""
+        self.reasons.append(Reason(note, conditional))
 
 
 def _invariants_json(inv: SurfaceInvariants) -> dict:
@@ -165,17 +183,28 @@ def _base_change_json(bc: BaseChangeResult) -> dict:
     return out
 
 
-def _shioda_tate_json(stage: str, config: SurfaceConfig, rho: int) -> dict:
-    try:
-        st = shioda_tate(config, rho)
-    except PicardTooSmallError as exc:  # the fibers' trivial lattice outranks rho = h11
-        raise SchemaError(f"config.fibers: stage {stage}: {exc}") from None
-    return {
-        "rho": tagged(st.rho, "assumed"),
-        "trivial_rank": tagged(st.trivial_rank, "derived"),
-        "mw_rank": tagged(st.mw_rank, "derived"),
-        "trivial_disc": tagged(str(st.trivial_disc), "derived"),
+def _surface_record(
+    spec: PipelineSpec, name: str, config: SurfaceConfig, inv: SurfaceInvariants
+) -> dict:
+    """A surface's name, configuration and invariants, and its Shioda-Tate
+    accounting when the Picard number is assumed maximal."""
+    record: dict[str, Any] = {
+        "name": name,
+        "config": surface_config_to_json(config),
+        "invariants": _invariants_json(inv),
     }
+    if "picard_maximal" in spec.flags:
+        try:
+            st = shioda_tate(config, inv.h11)
+        except PicardTooSmallError as exc:  # the fibers' trivial lattice outranks rho = h11
+            raise SchemaError(f"config.fibers: stage {name}: {exc}") from None
+        record["shioda_tate"] = {
+            "rho": tagged(st.rho, "assumed"),
+            "trivial_rank": tagged(st.trivial_rank, "derived"),
+            "mw_rank": tagged(st.mw_rank, "derived"),
+            "trivial_disc": tagged(str(st.trivial_disc), "derived"),
+        }
+    return record
 
 
 def _resolution_json(resolution: DiscResolution, rendered: dict) -> dict:
@@ -234,77 +263,75 @@ def _rigidity_json(cert: RigidityCertificate) -> dict:
     return out
 
 
-def _seed_stage(spec: PipelineSpec, inv: SurfaceInvariants) -> tuple[dict, list[Reason]]:
-    record: dict[str, Any] = {
-        "name": SEED_STAGE,
-        "config": surface_config_to_json(spec.seed),
-        "invariants": _invariants_json(inv),
-    }
-    reasons = []
-    if "picard_maximal" in spec.flags:
-        record["shioda_tate"] = _shioda_tate_json(SEED_STAGE, spec.seed, inv.h11)
-    else:
-        reasons.append(Reason("no Picard-number assumption: Shioda-Tate accounting skipped"))
+def _seed_stage(run: _Run) -> None:
+    spec = run.spec
+    run.seed = _surface_record(spec, SEED_STAGE, spec.seed, run.seed_inv)
+    if "shioda_tate" not in run.seed:
+        run.note("no Picard-number assumption: Shioda-Tate accounting skipped")
     if spec.seed_lattice is not None:
         t_x = spec.seed_lattice.value
-        record["transcendental"] = {
+        run.seed["transcendental"] = {
             "gram": form_to_json(t_x),
             "disc": tagged(t_x.disc, "assumed"),
             "provenance": spec.seed_lattice.provenance,
         }
-    return record, reasons
 
 
-def _covering_stages(spec: PipelineSpec) -> tuple[list[dict], list[Reason], Surfaces]:
+def _covering_stages(run: _Run) -> None:
     """Base change to every stage; the K3 stages need the family stage,
     which comes first, to be elliptic-elliptic."""
-    records: list[dict] = []
-    reasons = []
-    surfaces: Surfaces = {}
+    spec = run.spec
     family_ok = True
     for name, branch in spec.stages:
         if not family_ok:
-            reasons.append(Reason(f"stage {name} skipped: the family stage is not elliptic-elliptic"))
+            run.note(f"stage {name} skipped: the family stage is not elliptic-elliptic")
             continue
         bc = quadratic_base_change(
             spec.seed, branch, name=f"{spec.seed.name}/{name}", allow_fresh=(name == FAMILY_STAGE)
         )
         inv = invariants(bc.config)
-        record: dict[str, Any] = {
-            "name": name,
-            "branch": list(branch.sorted_labels()),
-            "base_change": _base_change_json(bc),
-            "config": surface_config_to_json(bc.config),
-            "invariants": _invariants_json(inv),
-        }
-        if "picard_maximal" in spec.flags:
-            record["shioda_tate"] = _shioda_tate_json(name, bc.config, inv.h11)
+        record = _surface_record(spec, name, bc.config, inv)
+        record["branch"] = list(branch.sorted_labels())
+        record["base_change"] = _base_change_json(bc)
         if name == FAMILY_STAGE:
             family_ok = inv.kind == "elliptic-elliptic"
             detail = f"expected an elliptic surface over an elliptic base, got {inv.kind!r}"
             record["family_gate"] = {"ok": family_ok, "detail": "elliptic-elliptic" if family_ok else detail}
             if not family_ok:
-                reasons.append(Reason(
+                run.note(
                     f"family stage has kind {inv.kind!r}; the construction needs "
                     "'elliptic-elliptic', remaining stages skipped"
-                ))
-        records.append(record)
-        surfaces[name] = (bc.config, inv)
-    return records, reasons, surfaces
+                )
+        run.stages.append(record)
+        run.surfaces[name] = (bc.config, inv)
 
 
-def _shioda_inose_stage(
-    spec: PipelineSpec, surfaces: Surfaces
-) -> tuple[dict, list[Reason], CentralDiscs, int | None]:
+def _no_seed_lattice(run: _Run) -> None:
+    run.note("no seed transcendental lattice assumption: lattice analysis skipped")
+
+
+def _candidates_stage(run: _Run) -> None:
+    """The central discriminants the double covers may have, from the seed lattice's."""
+    disc = run.spec.seed_lattice.value.disc
+    run.candidates = double_cover_disc_candidates(disc)
+    run.analysis["candidates"] = {
+        "disc_seed": tagged(disc, "assumed"),
+        "list": [{"alpha": a, "disc": tagged(d, "derived")} for a, d in run.candidates],
+    }
+    run.pinned[SEED_STAGE] = ([disc], "assumption")
+
+
+def _shioda_inose_stage(run: _Run) -> None:
     """The quotient lattice at the Shioda-Inose stage and its rigidity.
 
-    Also returns the central discriminants this pins, and the nearby
-    discriminant, which is known only when the quotient lattice is rigid.
+    Pins the quotient's discriminant at that stage and, only when the
+    quotient lattice is rigid, the nearby discriminant.
     """
+    spec = run.spec
     si = spec.shioda_inose
-    if si is None or si.stage not in surfaces:
-        reason = Reason("no usable Shioda-Inose cover stage: nearby lattice not determined")
-        return {}, [reason], {}, None
+    if si is None or si.stage not in run.surfaces:
+        run.note("no usable Shioda-Inose cover stage: nearby lattice not determined")
+        return
     t_si = shioda_inose_unscale(spec.seed_lattice.value)
     disc = t_si.disc
     try:
@@ -312,23 +339,21 @@ def _shioda_inose_stage(
     except ValueError as exc:  # the index bound misses a square factor of disc(t_si)
         at = spec.assumptions.index(spec.seed_lattice)
         raise SchemaError(f"assumptions[{at}].payload.gram: {exc}") from None
-    record: dict[str, Any] = {
-        "shioda_inose": {
-            "stage": si.stage,
-            "gram": form_to_json(t_si),
-            "disc": tagged(disc, "derived"),
-            "provenance": si.provenance,
-        },
-        "rigidity": _rigidity_json(rigidity),
+    run.analysis["shioda_inose"] = {
+        "stage": si.stage,
+        "gram": form_to_json(t_si),
+        "disc": tagged(disc, "derived"),
+        "provenance": si.provenance,
     }
-    pinned: CentralDiscs = {si.stage: ([disc], "shioda_inose")}
+    run.analysis["rigidity"] = _rigidity_json(rigidity)
+    run.pinned[si.stage] = ([disc], "shioda_inose")
     if not rigidity.rigid:
-        reason = Reason(
+        run.note(
             "quotient lattice admits a proper even overlattice: the nearby "
             "lattice is not pinned down"
         )
-        return record, [reason], pinned, None
-    record["nearby_lattice"] = {
+        return
+    run.analysis["nearby_lattice"] = {
         "gram": form_to_json(t_si),
         "disc": tagged(disc, "derived"),
         "conclusion": (
@@ -338,18 +363,15 @@ def _shioda_inose_stage(
         ),
         "conditional_on": sorted(spec.flags) + ["shioda_inose_cover"],
     }
-    pinned[FAMILY_STAGE] = ([disc], "rigidity_transfer")
-    return record, [], pinned, disc
+    run.pinned[FAMILY_STAGE] = ([disc], "rigidity_transfer")
+    run.nearby_disc = disc
 
 
-def _assumed_lattices(
-    spec: PipelineSpec, surfaces: Surfaces
-) -> tuple[dict, list[Reason], CentralDiscs]:
+def _assumed_lattices(run: _Run) -> None:
     """Declared transcendental lattices of covering stages."""
     entries = []
-    pinned: CentralDiscs = {}
-    for stage, a in sorted(spec.stage_lattices.items()):
-        if stage in surfaces:
+    for stage, a in sorted(run.spec.stage_lattices.items()):
+        if stage in run.surfaces:
             disc = a.value.disc
             entries.append({
                 "stage": stage,
@@ -357,28 +379,26 @@ def _assumed_lattices(
                 "disc": tagged(disc, "assumed"),
                 "provenance": a.provenance,
             })
-            pinned[stage] = ([disc], "assumption")
-    return ({"assumed_stage_lattices": entries} if entries else {}), [], pinned
+            run.pinned[stage] = ([disc], "assumption")
+    if entries:
+        run.analysis["assumed_stage_lattices"] = entries
 
 
-def _resolution_stage(
-    spec: PipelineSpec, surfaces: Surfaces, candidates: list[tuple[int, int]], pinned: CentralDiscs
-) -> tuple[dict, list[Reason], CentralDiscs]:
+def _resolution_stage(run: _Run) -> None:
     """Discriminant resolution for the stages no earlier stage pinned."""
+    spec, candidates = run.spec, run.candidates
     items = []
-    reasons = []
-    resolved: CentralDiscs = {}
     classes = None  # enumerated on first use, then shared by the stages
     rendered: dict = {}  # and so are their report entries
     for name, _branch in spec.stages:
-        if name in pinned or name not in surfaces:
+        if name in run.pinned or name not in run.surfaces:
             continue
-        config, inv = surfaces[name]
+        config, inv = run.surfaces[name]
         if inv.kind != "K3":
-            reasons.append(Reason(f"stage {name} is not a K3 surface: no discriminant analysis"))
+            run.note(f"stage {name} is not a K3 surface: no discriminant analysis")
             continue
         if "picard_maximal" not in spec.flags:
-            reasons.append(Reason(f"stage {name}: discriminant resolution needs a Picard assumption"))
+            run.note(f"stage {name}: discriminant resolution needs a Picard assumption")
             continue
         torsion = spec.torsion.get(name)
         if classes is None:
@@ -387,38 +407,33 @@ def _resolution_stage(
             candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
         )
         items.append({"stage": name, "resolution": _resolution_json(resolution, rendered)})
-        resolved[name] = ([d for _a, d in resolution.surviving], "resolution")
+        run.pinned[name] = ([d for _a, d in resolution.surviving], "resolution")
         if not resolution.resolved:
             survivors = ", ".join(str(d) for _a, d in resolution.surviving)
-            reasons.append(Reason(
+            run.note(
                 f"stage {name}: discriminant not uniquely resolved, "
                 f"surviving candidates {{{survivors}}}"
-            ))
-    return ({"resolutions": items} if items else {}), reasons, resolved
+            )
+    if items:
+        run.analysis["resolutions"] = items
 
 
-def _height_checks(
-    spec: PipelineSpec,
-    seed_inv: SurfaceInvariants,
-    surfaces: Surfaces,
-    candidates: list[tuple[int, int]],
-    pinned: CentralDiscs,
-) -> tuple[dict, list[Reason]]:
+def _height_checks(run: _Run) -> None:
     """Height-denominator cross-checks of the central discriminants, stage by stage."""
+    spec = run.spec
     if "picard_maximal" not in spec.flags:
-        return {}, []
+        return
     checks = []
-    reasons = []
-    for name, (config, inv) in {SEED_STAGE: (spec.seed, seed_inv), **surfaces}.items():
-        if name not in pinned:
+    for name, (config, inv) in {SEED_STAGE: (spec.seed, run.seed_inv), **run.surfaces}.items():
+        if name not in run.pinned:
             continue
         torsion = spec.torsion.get(name)
         if torsion is None:
-            reasons.append(Reason(f"stage {name}: no torsion assumption, height cross-check skipped"))
+            run.note(f"stage {name}: no torsion assumption, height cross-check skipped")
             continue
-        discs, source = pinned[name]
+        discs, source = run.pinned[name]
         # A resolved stage reports the bound on every candidate, excluded ones too.
-        pool = [d for _a, d in candidates] if source == "resolution" else discs
+        pool = [d for _a, d in run.candidates] if source == "resolution" else discs
         for disc in pool:
             check = check_disc_consistency(config, disc, inv.h11, torsion.value)
             entry = {
@@ -440,30 +455,29 @@ def _height_checks(
                     f"stage {name}: certified discriminant {disc} fails the "
                     f"height-denominator check: {check.reason}"
                 )
-    return ({"denominator_checks": checks} if checks else {}), reasons
+    if checks:
+        run.analysis["denominator_checks"] = checks
 
 
-def _specialization_stage(
-    spec: PipelineSpec, pinned: CentralDiscs, nearby_disc: int | None
-) -> tuple[dict, list[Reason]]:
+def _specialization_stage(run: _Run) -> None:
     """Specialization indices of the central discriminants, and the verdict.
 
     Discriminants with no finite-index relation to the nearby lattice get
     a note but do not by themselves make the run conditional; an
     undetermined verdict does.
     """
-    if nearby_disc is None:
-        return {}, [Reason("nearby lattice unknown: specialization indices not computed")]
+    if run.nearby_disc is None:
+        run.note("nearby lattice unknown: specialization indices not computed")
+        return
     per_stage = []
-    reasons = []
-    for name, _branch in spec.stages:
-        if name == FAMILY_STAGE or name not in pinned:
+    for name, _branch in run.spec.stages:
+        if name == FAMILY_STAGE or name not in run.pinned:
             continue
-        discs, source = pinned[name]
+        discs, source = run.pinned[name]
         indices, incompatible = [], []
         for disc in sorted(set(discs)):
             try:
-                result = specialization_index(disc, nearby_disc)
+                result = specialization_index(disc, run.nearby_disc)
             except NotPerfectSquareRatioError:
                 incompatible.append(disc)
                 continue
@@ -473,28 +487,37 @@ def _specialization_stage(
         entry: dict[str, Any] = {
             "stage": name,
             "source": source,
-            "nearby_disc": tagged(nearby_disc, "derived"),
+            "nearby_disc": tagged(run.nearby_disc, "derived"),
             "indices": indices,
             "verdict": _agreed({item["verdict"] for item in indices}),
         }
         if incompatible:
             entry["incompatible_discs"] = incompatible
-            reasons.append(Reason(
+            run.note(
                 f"stage {name}: discriminant(s) {incompatible} are not related "
                 "to the nearby lattice by a finite-index embedding",
                 conditional=False,
-            ))
+            )
         per_stage.append(entry)
     failing = [entry["stage"] for entry in per_stage if entry["verdict"] == VERDICT_FAILS]
     verdict = VERDICT_FAILS if failing else _agreed({entry["verdict"] for entry in per_stage})
     if verdict == "undetermined":
-        reasons.append(Reason(note=None))
-    return {"per_stage": per_stage, "failing_stages": failing, "verdict": verdict}, reasons
+        run.note(None)
+    run.specialization = {"per_stage": per_stage, "failing_stages": failing, "verdict": verdict}
 
 
 def _agreed(verdicts: set[str]) -> str:
     """The verdict every item reached, or 'undetermined' if none or several."""
     return verdicts.pop() if len(verdicts) == 1 else "undetermined"
+
+
+# The stages in report order; the lattice analysis starts from the seed's
+# transcendental lattice, and without it one note stands in for it.
+_STAGES = (
+    _seed_stage, _covering_stages, _candidates_stage, _shioda_inose_stage, _assumed_lattices,
+    _resolution_stage, _height_checks, _specialization_stage,
+)
+_STAGES_WITHOUT_SEED_LATTICE = (_seed_stage, _covering_stages, _no_seed_lattice, _specialization_stage)
 
 
 def run_pipeline(spec: PipelineSpec) -> dict:
@@ -509,35 +532,9 @@ def run_pipeline(spec: PipelineSpec) -> dict:
             f"{field}: seed configuration must be a K3 fibration with e = 24; "
             f"got kind {seed_inv.kind!r} with e = {seed_inv.e}"
         )
-    seed_record, reasons = _seed_stage(spec, seed_inv)
-    stage_records, found, surfaces = _covering_stages(spec)
-    reasons += found
-    analysis: dict[str, Any] = {}
-    pinned: CentralDiscs = {}
-    nearby_disc = None
-    if spec.seed_lattice is None:
-        reasons.append(Reason("no seed transcendental lattice assumption: lattice analysis skipped"))
-    else:
-        t_x = spec.seed_lattice.value
-        candidates = double_cover_disc_candidates(t_x.disc)
-        analysis["candidates"] = {
-            "disc_seed": tagged(t_x.disc, "assumed"),
-            "list": [{"alpha": a, "disc": tagged(d, "derived")} for a, d in candidates],
-        }
-        pinned[SEED_STAGE] = ([t_x.disc], "assumption")
-
-        def take(record: dict, new: list[Reason], more: CentralDiscs | None = None) -> None:
-            analysis.update(record)
-            reasons.extend(new)
-            pinned.update(more or {})
-
-        record, found, more, nearby_disc = _shioda_inose_stage(spec, surfaces)
-        take(record, found, more)
-        take(*_assumed_lattices(spec, surfaces))
-        take(*_resolution_stage(spec, surfaces, candidates, pinned))
-        take(*_height_checks(spec, seed_inv, surfaces, candidates, pinned))
-    specialization, found = _specialization_stage(spec, pinned, nearby_disc)
-    reasons += found
+    run = _Run(spec, seed_inv)
+    for stage in _STAGES if spec.seed_lattice is not None else _STAGES_WITHOUT_SEED_LATTICE:
+        stage(run)
 
     ledger = []
     for a in spec.assumptions:
@@ -551,16 +548,16 @@ def run_pipeline(spec: PipelineSpec) -> dict:
     report = {
         "schema": "invcycle-report/1",
         "pipeline": {"name": spec.seed.name},
-        "seed": seed_record,
-        "stages": stage_records,
-        "analysis": analysis,
-        "specialization": specialization,
+        "seed": run.seed,
+        "stages": run.stages,
+        "analysis": run.analysis,
+        "specialization": run.specialization,
         "assumption_ledger": ledger,
-        "notes": [r.note for r in reasons if r.note is not None],
-        "status": "conditional" if any(r.conditional for r in reasons) else "verified",
+        "notes": [r.note for r in run.reasons if r.note is not None],
+        "status": "conditional" if any(r.conditional for r in run.reasons) else "verified",
     }
-    if "verdict" in specialization:
-        report["verdict"] = specialization["verdict"]
+    if "verdict" in run.specialization:
+        report["verdict"] = run.specialization["verdict"]
     return report
 
 

@@ -47,6 +47,11 @@ def family_gate(docs):
     docs["branch"]["branch"] = ["0", "1", "2", "t", "u", "v"]
 
 
+def family_gate_bare(docs):
+    family_gate(docs)
+    without("picard_maximal", "seed_transcendental_lattice")(docs)
+
+
 def incompatible_y2(docs):
     docs["assumptions"]["assumptions"].append(
         {
@@ -74,6 +79,7 @@ CASES = {
     "no-facts": ("example1", without("exclusion_fact")),
     "no-torsion-y2": ("example1", without("torsion_order", stage="Y2")),
     "family-gate": ("example1", family_gate),
+    "family-gate-bare": ("example1", family_gate_bare),
     "incompatible-y2": ("example1", incompatible_y2),
     "not-rigid": ("example2", not_rigid),
 }

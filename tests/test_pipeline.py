@@ -17,6 +17,7 @@ from invcycle.kodaira import euler_number, fiber
 from invcycle.pipeline import (
     PipelineContradictionError,
     PipelineError,
+    _Run,
     _specialization_stage,
     build_pipeline_spec,
     report_exit_code,
@@ -26,7 +27,7 @@ from invcycle.pipeline import (
     run_example,
     run_pipeline,
 )
-from invcycle.surfaces import BranchSpec, SurfaceConfig
+from invcycle.surfaces import BranchSpec, SurfaceConfig, invariants
 
 
 def bundled_doc(example, name):
@@ -462,9 +463,16 @@ class TestReasons:
         config, branch, _assumptions = docs("example1")
         return build_pipeline_spec(parse_surface_config(config), parse_branch_spec(branch), ())
 
+    @staticmethod
+    def specialize(spec, pinned, nearby_disc):
+        run = _Run(spec, invariants(spec.seed))
+        run.pinned, run.nearby_disc = pinned, nearby_disc
+        _specialization_stage(run)
+        return run.specialization, run.reasons
+
     def test_incompatible_disc_is_a_note_that_is_not_conditional(self, spec):
         pinned = {"Y0": ([12], "shioda_inose"), "Y1": ([8], "assumption")}
-        record, reasons = _specialization_stage(spec, pinned, 3)
+        record, reasons = self.specialize(spec, pinned, 3)
         assert record["verdict"] == "LICT_fails"
         assert record["per_stage"][1]["incompatible_discs"] == [8]
         (reason,) = reasons
@@ -472,7 +480,7 @@ class TestReasons:
         assert not reason.conditional
 
     def test_undetermined_verdict_is_conditional_without_a_note(self, spec):
-        record, reasons = _specialization_stage(spec, {"Y1": ([8], "assumption")}, 3)
+        record, reasons = self.specialize(spec, {"Y1": ([8], "assumption")}, 3)
         assert record["verdict"] == "undetermined"
         assert [(r.note is None, r.conditional) for r in reasons] == [(False, False), (True, True)]
 

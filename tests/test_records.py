@@ -26,7 +26,7 @@ from invcycle.lattice import (
     reduce_binary,
 )
 from invcycle.mordell_weil import DiscConsistency, ShiodaTateResult, check_disc_consistency, shioda_tate
-from invcycle.pipeline import PipelineSpec, Reason, build_pipeline_spec
+from invcycle.pipeline import PipelineSpec, Reason, _Run, build_pipeline_spec
 from invcycle.surfaces import (
     BaseChangeResult,
     BranchPointRecord,
@@ -220,7 +220,7 @@ def pipeline_records():
     check = check_disc_consistency(SEED, 12, 20, 1)
     return [
         (spec, build_pipeline_spec(SEED, BRANCH, ())),
-        (Reason("n"), Reason("n", conditional=False)),
+        (Reason("n", True), Reason("n", conditional=False)),
         (SEED, SurfaceConfig("other", 0, SEED.fibers)),
         (invariants(SEED), invariants(quadratic_base_change(SEED, FAMILY).config)),
         (BRANCH, BranchSpec(frozenset({"0", "2"}))),
@@ -296,7 +296,7 @@ def test_pipeline_record_repr(record, other):
 
 
 def test_pipeline_record_repr_literals():
-    assert repr(Reason("n")) == "Reason(note='n', conditional=True)"
+    assert repr(Reason("n", True)) == "Reason(note='n', conditional=True)"
     assert repr(BranchSpec(frozenset())) == "BranchSpec(labels=frozenset())"
     assert repr(ClassVerdict(A2, "p", "not_isomorphic_to")) == (
         "ClassVerdict(form=BinaryEvenForm(a=1, b=1, c=1), excluded_by='p', fact_kind='not_isomorphic_to')"
@@ -328,10 +328,12 @@ def test_pipeline_record_copy_and_pickle_round_trip(record, other):
 
 
 def test_reason_defaults_to_conditional():
-    assert Reason("n").conditional is True
-    assert Reason(note=None).conditional is True
-    assert Reason("n", False).conditional is False
-    assert Reason("n", conditional=False) == Reason("n", False)
+    run = _Run(build_pipeline_spec(SEED, BRANCH, ()), invariants(SEED))
+    run.note("n")
+    run.note(note=None)
+    run.note("n", False)
+    run.note("n", conditional=False)
+    assert run.reasons == [Reason("n", True), Reason(None, True), Reason("n", False), Reason("n", False)]
 
 
 FACT = ExclusionFact("not_isomorphic_to", A2, None, "p")
