@@ -5,7 +5,8 @@ accepted on input.  Either way their size is bounded by Python's int/str
 conversion limit (sys.get_int_max_str_digits(), 4300 digits by default),
 which also bounds every number in the output.  Parse errors carry the
 position, schema errors carry the offending field.  Every Gram from
-outside passes `parse_gram`, the one place its shape is checked.
+outside passes `parse_gram`, the one place its shape is checked; the
+records only store, and each is checked here, where a document builds it.
 
 `surfaces` and `transcendental` are imported inside the parse functions
 that build their types, so the lattice and fiber commands never load them.
@@ -141,6 +142,8 @@ def parse_surface_config(obj: Any, where: str = "config") -> SurfaceConfig:
     from .surfaces import SurfaceConfig
 
     name = _require(obj, "name", str, where)
+    if not name:
+        raise SchemaError(f"{where}.name: must be nonempty")
     genus = _require(obj, "base_genus", int, where)
     fibers_raw = _require(obj, "fibers", list, where)
     _reject_unknown(obj, {"name", "base_genus", "fibers"}, where)
@@ -148,6 +151,8 @@ def parse_surface_config(obj: Any, where: str = "config") -> SurfaceConfig:
     for i, entry in enumerate(fibers_raw):
         spot = f"{where}.fibers[{i}]"
         label = _require(entry, "label", str, spot)
+        if not label:
+            raise SchemaError(f"{spot}.label: must be nonempty")
         fib = parse_fiber_token(_require(entry, "type", str, spot), f"{spot}.type")
         _reject_unknown(entry, {"label", "type"}, spot)
         fibers.append((label, fib))
@@ -158,10 +163,9 @@ def parse_surface_config(obj: Any, where: str = "config") -> SurfaceConfig:
                 f"{where}.fibers[{i}].label: {label!r} is also "
                 f"{where}.fibers[{first_at[label]}].label; fiber labels must be distinct"
             )
-    try:
-        return SurfaceConfig(name=name, base_genus=genus, fibers=tuple(fibers))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    if genus < 0:
+        raise SchemaError(f"{where}.base_genus: base genus must be a nonnegative integer")
+    return SurfaceConfig(name, genus, tuple(fibers))
 
 
 def surface_config_to_json(config: SurfaceConfig) -> dict:
@@ -173,23 +177,26 @@ def surface_config_to_json(config: SurfaceConfig) -> dict:
 
 
 def parse_branch_spec(obj: Any, where: str = "branch") -> BranchSpec:
-    from .surfaces import BranchSpec, OddBranchCountError
+    from .surfaces import BranchSpec
 
     labels = _require(obj, "branch", list, where)
     _reject_unknown(obj, {"branch"}, where)
     for i, label in enumerate(labels):
         if not isinstance(label, str):
             raise SchemaError(f"{where}.branch[{i}]: expected a string label")
+        if not label:
+            raise SchemaError(f"{where}.branch[{i}]: must be nonempty")
     if len(set(labels)) != len(labels):
         raise SchemaError(f"{where}.branch: labels must be distinct")
-    try:
-        return BranchSpec(frozenset(labels))
-    except OddBranchCountError as exc:
-        raise SchemaError(f"{where}.branch: {exc}") from exc
+    if len(labels) % 2:
+        raise SchemaError(
+            f"{where}.branch: branch locus has {len(labels)} points; an even count is required"
+        )
+    return BranchSpec(frozenset(labels))
 
 
 def parse_exclusion_fact(obj: Any, where: str) -> ExclusionFact:
-    from .transcendental import ExclusionFact
+    from .transcendental import FACT_KINDS, ExclusionFact
 
     kind = _require(obj, "kind", str, where)
     provenance = _require(obj, "provenance", str, where)
@@ -211,10 +218,15 @@ def parse_exclusion_fact(obj: Any, where: str) -> ExclusionFact:
         fibers = tuple(
             parse_fiber_token(tok, f"{where}.fibers[{i}]").token for i, tok in enumerate(raw)
         )
-    try:
-        return ExclusionFact(kind=kind, form=form, fibers=fibers, provenance=provenance)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    if kind not in FACT_KINDS:
+        raise SchemaError(f"{where}.kind: unknown exclusion fact kind {kind!r}")
+    if not provenance.strip():
+        raise SchemaError(f"{where}.provenance: exclusion facts require a nonempty provenance string")
+    if form is None and kind != "denominator_bound":
+        raise SchemaError(f"{where}: {kind} fact requires a form")
+    if fibers is None and kind == "no_fibration_with_fibers":
+        raise SchemaError(f"{where}: no_fibration_with_fibers fact requires a fiber list")
+    return ExclusionFact(kind, form, fibers, provenance)
 
 
 def exclusion_fact_to_json(fact: ExclusionFact) -> dict:

@@ -62,13 +62,10 @@ class KodairaFiber(FrozenRecord):
     """A Kodaira fiber type: kind in {I, I*, II, III, IV, II*, III*, IV*}.
 
     The multiplicity parameter n is present exactly for the I and I*
-    series (n >= 0); only `fiber` and `quadratic_base_change_fiber` build one.
+    series (n >= 0), else None; only `fiber` and `quadratic_base_change_fiber` build one.
     """
 
     __slots__ = ("kind", "n")
-
-    def __init__(self, kind: str, n: int | None = None) -> None:
-        super().__init__(kind, n)
 
     @property
     def token(self) -> str:
@@ -88,7 +85,7 @@ class KodairaFiber(FrozenRecord):
 def fiber(token: str) -> KodairaFiber:
     """Parse a fiber token: 'I0', 'I12', 'I0*', 'II', 'III*', 'IV*', ..."""
     if token in _CATALOG:
-        return KodairaFiber(token)
+        return KodairaFiber(token, None)
     # Parametric series; note 'II*' is fixed while 'I1*' is parametric.
     if token.startswith("I") and len(token) > 1:
         body, star = (token[1:-1], True) if token.endswith("*") else (token[1:], False)

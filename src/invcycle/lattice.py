@@ -55,9 +55,10 @@ class FrozenRecord:
     descriptor's own __set__, cached per class, which gets past the
     raising __setattr__ without looking a name up per field: records
     built by the hundred per op, such as the `BinaryEvenForm`s of class
-    enumeration, are built by position on that path.  Only a record
-    that checks, defaults or converts its arguments writes its own
-    __init__, which ends in super().__init__(...).
+    enumeration, are built by position on that path.  A record only
+    stores: `jsonio` checks every record built from outside input, once.
+    The one record with its own __init__ is `GramLattice`, which converts
+    its rows to tuples and ends in super().__init__(...).
 
     Written out because @dataclass builds its methods through exec and
     importing dataclasses loads inspect: no command loads either, and a

@@ -52,6 +52,7 @@ from .surfaces import (
 )
 from .transcendental import (
     DiscResolution,
+    NothingSurvivesError,
     RigidityCertificate,
     VERDICT_FAILS,
     candidate_classes,
@@ -286,9 +287,7 @@ def _covering_stages(run: _Run) -> None:
         if not family_ok:
             run.note(f"stage {name} skipped: the family stage is not elliptic-elliptic")
             continue
-        bc = quadratic_base_change(
-            spec.seed, branch, name=f"{spec.seed.name}/{name}", allow_fresh=(name == FAMILY_STAGE)
-        )
+        bc = quadratic_base_change(spec.seed, branch, name=f"{spec.seed.name}/{name}")
         inv = invariants(bc.config)
         record = _surface_record(spec, name, bc.config, inv)
         record["branch"] = list(branch.sorted_labels())
@@ -403,9 +402,12 @@ def _resolution_stage(run: _Run) -> None:
         torsion = spec.torsion.get(name)
         if classes is None:
             classes = candidate_classes(candidates)
-        resolution = resolve_disc(
-            candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
-        )
+        try:
+            resolution = resolve_disc(
+                candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
+            )
+        except NothingSurvivesError as exc:
+            raise PipelineContradictionError(f"assumptions: stage {name}: {exc}") from None
         items.append({"stage": name, "resolution": _resolution_json(resolution, rendered)})
         run.pinned[name] = ([d for _a, d in resolution.surviving], "resolution")
         if not resolution.resolved:
@@ -452,8 +454,8 @@ def _height_checks(run: _Run) -> None:
             checks.append(entry)
             if entry["certified"] and not check.consistent and len(discs) == 1:
                 raise PipelineContradictionError(
-                    f"stage {name}: certified discriminant {disc} fails the "
-                    f"height-denominator check: {check.reason}"
+                    f"assumptions[{spec.assumptions.index(torsion)}].payload.order: stage {name}: "
+                    f"certified discriminant {disc} fails the height-denominator check: {check.reason}"
                 )
     if checks:
         run.analysis["denominator_checks"] = checks

@@ -27,32 +27,10 @@ class EulerNotDivisibleBy12Error(SurfaceError):
     """Total Euler number of the fibers is not a multiple of 12."""
 
 
-class BranchError(SurfaceError):
-    """Base class for branch specification errors."""
-
-
-class OddBranchCountError(BranchError):
-    """A quadratic base change needs an even number of branch points."""
-
-
-class UnknownLabelError(BranchError):
-    """A branch label does not name a fiber and fresh points are disallowed."""
-
-
 class SurfaceConfig(FrozenRecord):
     """Genus of the base curve plus the labelled singular fibers."""
 
     __slots__ = ("name", "base_genus", "fibers")
-
-    def __init__(
-        self, name: str, base_genus: int, fibers: tuple[tuple[str, KodairaFiber], ...]
-    ) -> None:
-        if not isinstance(base_genus, int) or base_genus < 0:
-            raise SurfaceError("base genus must be a nonnegative integer")
-        labels = [label for label, _ in fibers]
-        if len(set(labels)) != len(labels):
-            raise SurfaceError("fiber labels must be distinct")
-        super().__init__(name, base_genus, fibers)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.fibers)
@@ -101,13 +79,6 @@ class BranchSpec(FrozenRecord):
 
     __slots__ = ("labels",)
 
-    def __init__(self, labels: frozenset[str]) -> None:
-        if len(labels) % 2 != 0:
-            raise OddBranchCountError(
-                f"branch locus has {len(labels)} points; an even count is required"
-            )
-        super().__init__(labels)
-
     def sorted_labels(self) -> tuple[str, ...]:
         return tuple(sorted(self.labels))
 
@@ -128,29 +99,23 @@ class BaseChangeResult(FrozenRecord):
 
 
 def quadratic_base_change(
-    config: SurfaceConfig,
-    branch: BranchSpec,
-    *,
-    name: str | None = None,
-    allow_fresh: bool = True,
+    config: SurfaceConfig, branch: BranchSpec, *, name: str | None = None
 ) -> BaseChangeResult:
     """Double cover of the base, ramified exactly over the branch labels.
 
     Branched fibers are replaced by their base-change image (smooth
     images disappear from the list); unbranched fibers appear twice with
     suffixed labels.  Branch labels that name no fiber are fresh smooth
-    points when allow_fresh is true, and errors otherwise.  The Euler
-    defect is the number of branched star fibers.  An error names the
-    field of the `config` or `branch` document at fault.
+    points.  The Euler defect is the number of branched star fibers.  An
+    error names the field of the `config` or `branch` document at fault:
+    a base genus the cover would make negative, or a branched fiber whose
+    label is that of a copy of an unbranched one.
     """
-    known = set(config.labels())
-    fresh = sorted(branch.labels - known)
-    if fresh and not allow_fresh:
-        raise UnknownLabelError(f"branch labels {fresh} name no fiber of {config.name!r}")
+    fresh = sorted(branch.labels - set(config.labels()))
     g = config.base_genus
     g_new = 2 * g - 1 + len(branch.labels) // 2
     if g_new < 0:
-        raise BranchError(
+        raise SurfaceError(
             "branch.branch: a double cover of a genus-0 base needs at least two branch points"
         )
 
@@ -184,24 +149,21 @@ def quadratic_base_change(
     for label in fresh:
         log.append(BranchPointRecord(label, None, True, None, (), 0, "trivial"))
 
-    try:
-        new_config = SurfaceConfig(
-            name=name if name is not None else f"{config.name}^(2)",
-            base_genus=g_new,
-            fibers=tuple(new_fibers),
-        )
-    except SurfaceError as exc:
-        # Only a copy 'L.1' or 'L.2' of an unbranched fiber L can repeat a
-        # label: that of a branched fiber, whose image keeps its label.
-        seen = set()
-        for label, _ in new_fibers:
-            if label in seen:
-                break
-            seen.add(label)
-        raise SurfaceError(
-            f"config.fibers[{config.labels().index(label)}].label: {label!r} is also the label "
-            f"of a copy of the unbranched fiber {label.rsplit('.', 1)[0]!r}; {exc}"
-        ) from None
+    # The config's labels are distinct, so only a copy 'L.1' or 'L.2' of an
+    # unbranched fiber L can repeat a label: that of a branched fiber, whose
+    # image keeps its label.
+    seen: set[str] = set()
+    for label, _f in new_fibers:
+        if label in seen:
+            raise SurfaceError(
+                f"config.fibers[{config.labels().index(label)}].label: {label!r} is also the label "
+                f"of a copy of the unbranched fiber {label.rsplit('.', 1)[0]!r}; "
+                "fiber labels must be distinct"
+            )
+        seen.add(label)
+    new_config = SurfaceConfig(
+        name if name is not None else f"{config.name}^(2)", g_new, tuple(new_fibers)
+    )
     e_before = config.euler_total()
     d_before = e_before // 12 if e_before % 12 == 0 else None
     d_after = None if d_before is None else 2 * d_before - total_delta

@@ -48,24 +48,6 @@ class ExclusionFact(FrozenRecord):
 
     __slots__ = ("kind", "form", "fibers", "provenance")
 
-    def __init__(
-        self,
-        kind: str,
-        form: BinaryEvenForm | None,
-        fibers: tuple[str, ...] | None,
-        provenance: str,
-    ) -> None:
-        if kind not in FACT_KINDS:
-            raise ValueError(f"unknown exclusion fact kind {kind!r}")
-        if not provenance or not provenance.strip():
-            raise ValueError("exclusion facts require a nonempty provenance string")
-        if kind in ("not_isomorphic_to", "no_fibration_with_fibers"):
-            if form is None:
-                raise ValueError(f"{kind} fact requires a form")
-        if kind == "no_fibration_with_fibers" and fibers is None:
-            raise ValueError("no_fibration_with_fibers fact requires a fiber list")
-        super().__init__(kind, form, fibers, provenance)
-
 
 def double_cover_disc_candidates(disc_tx: int) -> list[tuple[int, int]]:
     """Candidate discriminants disc_tx * 2^(2a - 2) for a = 0, 1, 2.

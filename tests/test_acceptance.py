@@ -298,7 +298,7 @@ def test_criterion_09_property_suites():
             chosen = set(rng.sample(pool, rng.randint(0, len(pool))))
             if len(chosen) % 2 or (genus == 0 and not chosen):
                 continue
-            result = quadratic_base_change(cfg, BranchSpec(frozenset(chosen)), allow_fresh=True)
+            result = quadratic_base_change(cfg, BranchSpec(frozenset(chosen)))
             assert 2 * result.euler_before - result.euler_after == 12 * result.delta
             stars = sum(1 for lab, f in cfg.fibers if lab in chosen and is_star(f))
             assert result.delta == stars

@@ -290,7 +290,7 @@ class TestInProcess:
                     entries.append({"name": "exclusion_fact", "payload": fact, "provenance": "p"})
 
         err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
-        assert err == "error: every discriminant candidate was excluded\n"
+        assert err == "error: assumptions: stage Y2: every discriminant candidate was excluded\n"
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_uncovered_rigidity_index_names_the_seed(self, tmp_path, capsys, mode):
@@ -746,9 +746,13 @@ class TestConfigAndBranchErrors:
                 "config.base_genus: seed configuration must be a K3 fibration with e = 24; "
                 "got kind 'other' with e = 24",
             ),
+            (
+                ("basechange", "custom"), [("a", "I24")], -1, ["a", "t"], False,
+                "config.base_genus: base genus must be a nonnegative integer",
+            ),
         ],
         ids=["label-collision", "duplicate-label", "label-collision-at-Y0", "rho-below-trivial-rank",
-             "genus-0-empty-branch", "euler-13", "rational-seed", "genus-1-seed"],
+             "genus-0-empty-branch", "euler-13", "rational-seed", "genus-1-seed", "negative-genus"],
     )
     def test_error_names_the_field(self, tmp_path, capsys, commands, fibers, genus, branch, picard, line):
         argv = write_documents(tmp_path, fibers, genus, branch, picard)
@@ -800,7 +804,7 @@ DOCUMENT_ERROR = re.compile(r"error: (config|branch|assumptions)(\.\w+|\[\d+\])*
 @given(
     command=st.sampled_from(["basechange", "custom"]),
     fibers=seed_fibers(),
-    genus=st.integers(0, 2),
+    genus=st.integers(-1, 2),
     data=st.data(),
     picard=st.booleans(),
 )

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -557,3 +558,40 @@ def test_schema_fiber_token_pattern_matches_the_parser(token):
     except FiberTokenError:
         parsed = False
     assert in_schema == parsed == (token in FIBER_TOKENS_ACCEPTED)
+
+
+PARSERS = {"config": parse_surface_config, "branch": parse_branch_spec, "assumptions": parse_assumptions}
+
+
+@pytest.mark.parametrize(
+    "key, path, value, error",
+    [
+        ("config", ("name",), "", "config.name: must be nonempty"),
+        ("config", ("fibers", 0, "label"), "", "config.fibers[0].label: must be nonempty"),
+        ("branch", ("branch", 0), "", "branch.branch[0]: must be nonempty"),
+        ("assumptions", ("assumptions", 0, "provenance"), " ", "assumptions[0].provenance: must be nonempty"),
+        (
+            "assumptions", ("assumptions", 11, "payload", "provenance"), " ",
+            "assumptions[11].payload.provenance: exclusion facts require a nonempty provenance string",
+        ),
+    ],
+    ids=["config-name", "fiber-label", "branch-label", "assumption-provenance", "fact-provenance"],
+)
+def test_schema_string_fields_match_the_parser(key, path, value, error):
+    """Example 1 with one string emptied or blanked: the schema and the
+    parser both refuse it, and the parser names the field."""
+    schema = load_schema()
+    validator = jsonschema.Draft202012Validator(
+        {"$schema": schema["$schema"], "$defs": schema["$defs"], "$ref": f"#/$defs/{key}"}
+    )
+    document = bundled("example1", f"{key}.json")
+    assert validator.is_valid(document)
+    PARSERS[key](document)
+    *steps, last = path
+    target = document
+    for step in steps:
+        target = target[step]
+    target[last] = value
+    assert not validator.is_valid(document)
+    with pytest.raises(SchemaError, match=f"^{re.escape(error)}$"):
+        PARSERS[key](document)

@@ -281,7 +281,25 @@ class TestTampering:
         paths = write_docs(tmp_path, config, branch, assumptions)
         with pytest.raises(PipelineContradictionError) as exc:
             run_custom(*paths)
-        assert "Y0" in str(exc.value)
+        # The error names the torsion entry of the ledger that fails.
+        assert str(exc.value) == (
+            "assumptions[8].payload.order: stage Y0: certified discriminant 3 fails the "
+            "height-denominator check: rank-0 Mordell-Weil lattice must have discriminant 1, got 4"
+        )
+
+    def test_excluding_every_candidate_is_a_contradiction(self, tmp_path):
+        config, branch, assumptions = docs("example1")
+        # The seed [[4, 2], [2, 4]] has disc 12: candidates 3, 12 and 48.
+        for disc in (3, 12, 48):
+            for form in lattice.enumerate_even_posdef_binary(disc):
+                fact = {"kind": "not_isomorphic_to", "form": jsonio.form_to_json(form), "provenance": "p"}
+                assumptions["assumptions"].append(
+                    {"name": "exclusion_fact", "payload": fact, "provenance": "p"}
+                )
+        paths = write_docs(tmp_path, config, branch, assumptions)
+        with pytest.raises(PipelineContradictionError) as exc:
+            run_custom(*paths)
+        assert str(exc.value) == "assumptions: stage Y2: every discriminant candidate was excluded"
 
     def test_missing_picard_flag_degrades_to_conditional(self, tmp_path):
         config, branch, assumptions = docs("example1")

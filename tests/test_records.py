@@ -12,11 +12,23 @@ there.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
+import re
 
 import pytest
 
-from invcycle.jsonio import Assumption, parse_assumptions
+import invcycle
+from invcycle.jsonio import (
+    Assumption,
+    SchemaError,
+    form_to_json,
+    parse_assumptions,
+    parse_branch_spec,
+    parse_exclusion_fact,
+    parse_surface_config,
+)
 from invcycle.kodaira import FiberProfile, KodairaFiber, fiber, fiber_profile
 from invcycle.lattice import (
     BinaryEvenForm,
@@ -31,9 +43,7 @@ from invcycle.surfaces import (
     BaseChangeResult,
     BranchPointRecord,
     BranchSpec,
-    OddBranchCountError,
     SurfaceConfig,
-    SurfaceError,
     SurfaceInvariants,
     invariants,
     quadratic_base_change,
@@ -148,10 +158,6 @@ def test_repr_in_error_text():
     with pytest.raises(NotPositiveDefiniteError) as info:
         reduce_binary(BinaryEvenForm(-1, 0, -1))
     assert str(info.value) == "form BinaryEvenForm(a=-1, b=0, c=-1) is not positive definite"
-
-
-def test_defaults():
-    assert KodairaFiber("II").n is None
 
 
 def test_missing_and_unknown_arguments():
@@ -370,19 +376,32 @@ def test_candidate_classes_are_built_on_demand():
         candidate.classes = ()
 
 
-@pytest.mark.parametrize("kwargs, error, message", [
-    ({"base_genus": -1}, SurfaceError, "base genus must be a nonnegative integer"),
-    ({"base_genus": "0"}, SurfaceError, "base genus must be a nonnegative integer"),
-    ({"fibers": (("0", fiber("II*")), ("0", fiber("IV*")))}, SurfaceError, "fiber labels must be distinct"),
-])
-def test_surface_config_validation(kwargs, error, message):
-    with pytest.raises(error, match=f"^{message}$"):
-        SurfaceConfig(**{"name": "s", "base_genus": 0, "fibers": (), **kwargs})
+# The records only store; each check lives in the jsonio parse function
+# that builds the record from a document.
+
+@pytest.mark.parametrize("fields, message", [
+    ({"base_genus": -1}, "config.base_genus: base genus must be a nonnegative integer"),
+    ({"base_genus": "0"}, "config.base_genus: expected int"),
+    (
+        {"fibers": [{"label": "0", "type": "II*"}, {"label": "0", "type": "IV*"}]},
+        "config.fibers[1].label: '0' is also config.fibers[0].label; fiber labels must be distinct",
+    ),
+], ids=["negative-genus", "string-genus", "duplicate-label"])
+def test_surface_config_validation(fields, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse_surface_config({"name": "s", "base_genus": 0, "fibers": [], **fields})
 
 
 def test_branch_spec_validation():
-    with pytest.raises(OddBranchCountError, match="^branch locus has 3 points; an even count is required$"):
-        BranchSpec(frozenset({"0", "1", "2"}))
+    with pytest.raises(SchemaError, match="^branch.branch: branch locus has 3 points; an even count is required$"):
+        parse_branch_spec({"branch": ["0", "1", "2"]})
+
+
+# The field of the payload that a check names, where it names one.
+FACT_FIELD = {
+    "unknown exclusion fact kind 'rumor'": ".kind",
+    "exclusion facts require a nonempty provenance string": ".provenance",
+}
 
 
 @pytest.mark.parametrize("args, message", [
@@ -394,8 +413,31 @@ def test_branch_spec_validation():
     (("no_fibration_with_fibers", A2, None, "p"), "no_fibration_with_fibers fact requires a fiber list"),
 ])
 def test_exclusion_fact_validation(args, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        ExclusionFact(*args)
+    kind, form, fibers, provenance = args
+    payload = {"kind": kind, "provenance": provenance}
+    if form is not None:
+        payload["form"] = form_to_json(form)
+    if fibers is not None:
+        payload["fibers"] = list(fibers)
+    line = f"fact{FACT_FIELD.get(message, '')}: {message}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(line)}$"):
+        parse_exclusion_fact(payload, "fact")
+
+
+def test_only_gram_lattice_defines_init():
+    """Every record but GramLattice, which converts its rows to tuples,
+    takes FrozenRecord's storing constructor."""
+    for module in pkgutil.iter_modules(invcycle.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"invcycle.{module.name}")
+    records, todo = set(), [FrozenRecord]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("invcycle.") and cls not in records:
+                records.add(cls)
+                todo.append(cls)
+    assert len(records) == 21
+    assert {cls for cls in records if "__init__" in vars(cls)} == {GramLattice}
 
 
 def test_pipeline_records_missing_and_unknown_arguments():

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
+from invcycle.jsonio import SchemaError, parse_branch_spec, parse_surface_config
 from invcycle.kodaira import fiber, is_star
 from invcycle.surfaces import (
     BranchSpec,
     EulerNotDivisibleBy12Error,
-    OddBranchCountError,
     SurfaceConfig,
-    UnknownLabelError,
     invariants,
     quadratic_base_change,
 )
@@ -34,12 +33,12 @@ class TestConfig:
         assert SEED2.euler_total() == 24
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            SurfaceConfig(
-                name="dup",
-                base_genus=0,
-                fibers=(("0", fiber("II*")), ("0", fiber("IV*"))),
-            )
+        with pytest.raises(SchemaError):
+            parse_surface_config({
+                "name": "dup",
+                "base_genus": 0,
+                "fibers": [{"label": "0", "type": "II*"}, {"label": "0", "type": "IV*"}],
+            })
 
     def test_fiber_tokens_sorted_multiset(self):
         assert KUMMER_SEED.fiber_tokens() == ("I0*", "II*", "IV*")
@@ -83,10 +82,10 @@ class TestInvariants:
 
 class TestBranchSpec:
     def test_odd_count_rejected(self):
-        with pytest.raises(OddBranchCountError):
-            BranchSpec(frozenset({"0"}))
-        with pytest.raises(OddBranchCountError):
-            BranchSpec(frozenset({"0", "1", "2"}))
+        with pytest.raises(SchemaError, match="branch locus has 1 points; an even count is required"):
+            parse_branch_spec({"branch": ["0"]})
+        with pytest.raises(SchemaError, match="branch locus has 3 points; an even count is required"):
+            parse_branch_spec({"branch": ["0", "1", "2"]})
 
     def test_empty_allowed(self):
         spec = BranchSpec(frozenset())
@@ -130,12 +129,10 @@ class TestQuadraticBaseChange:
         labels = sorted(lab for lab, _ in result.config.fibers)
         assert labels == ["0.1", "0.2", "1"]
 
-    def test_fresh_labels_rejected_in_strict_mode(self):
-        spec = BranchSpec(frozenset({"0", "zzz"}))
-        with pytest.raises(UnknownLabelError):
-            quadratic_base_change(KUMMER_SEED, spec, allow_fresh=False)
-        result = quadratic_base_change(KUMMER_SEED, spec, allow_fresh=True)
+    def test_fresh_labels_are_smooth_branch_points(self):
+        result = quadratic_base_change(KUMMER_SEED, BranchSpec(frozenset({"0", "zzz"})))
         assert result.delta == 1
+        assert (result.log[-1].label, result.log[-1].source_token) == ("zzz", None)
 
     def test_genus_zero_needs_two_branch_points(self):
         with pytest.raises(ValueError):
@@ -211,7 +208,7 @@ class TestEulerDefectLaw:
             if cfg.base_genus == 0 and not chosen:
                 continue
             branch = BranchSpec(frozenset(chosen))
-            result = quadratic_base_change(cfg, branch, allow_fresh=True)
+            result = quadratic_base_change(cfg, branch)
             stars_branched = sum(
                 1 for lab, f in cfg.fibers if lab in chosen and is_star(f)
             )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invcycle.jsonio import SchemaError, parse_exclusion_fact
 from invcycle.kodaira import fiber
 from invcycle.lattice import (
     BinaryEvenForm,
@@ -81,30 +82,26 @@ def bound_fact():
 
 
 class TestExclusionFactValidation:
+    """`jsonio.parse_exclusion_fact` is the one place a fact is checked."""
+
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ExclusionFact(kind="rumor", form=None, fibers=None, provenance="p")
+        with pytest.raises(SchemaError, match=r"^f\.kind: unknown exclusion fact kind 'rumor'$"):
+            parse_exclusion_fact({"kind": "rumor", "provenance": "p"}, "f")
 
     def test_empty_provenance(self):
-        with pytest.raises(ValueError):
-            ExclusionFact(
-                kind="not_isomorphic_to",
-                form=BinaryEvenForm(1, 1, 1),
-                fibers=None,
-                provenance="  ",
+        with pytest.raises(SchemaError, match=r"^f\.provenance: exclusion facts require"):
+            parse_exclusion_fact(
+                {"kind": "not_isomorphic_to", "form": [[2, 1], [1, 2]], "provenance": "  "}, "f"
             )
 
     def test_missing_form(self):
-        with pytest.raises(ValueError):
-            ExclusionFact(kind="not_isomorphic_to", form=None, fibers=None, provenance="p")
+        with pytest.raises(SchemaError, match="^f: not_isomorphic_to fact requires a form$"):
+            parse_exclusion_fact({"kind": "not_isomorphic_to", "provenance": "p"}, "f")
 
     def test_missing_fibers(self):
-        with pytest.raises(ValueError):
-            ExclusionFact(
-                kind="no_fibration_with_fibers",
-                form=BinaryEvenForm(1, 1, 1),
-                fibers=None,
-                provenance="p",
+        with pytest.raises(SchemaError, match="^f: no_fibration_with_fibers fact requires a fiber list$"):
+            parse_exclusion_fact(
+                {"kind": "no_fibration_with_fibers", "form": [[2, 1], [1, 2]], "provenance": "p"}, "f"
             )
 
 
