@@ -28,14 +28,11 @@ from .jsonio import (
     load_json,
     loads_json,
     parse_branch_spec,
+    parse_form,
     parse_gram,
     parse_surface_config,
     surface_config_to_json,
 )
-
-
-def _parse_gram_arg(text: str):
-    return parse_gram(loads_json(text, "--gram"), "--gram")
 
 
 def _printable(source: str, what: str, build):
@@ -110,13 +107,9 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_lattice_reduce(args) -> int:
-    from .lattice import BinaryEvenForm, LatticeError, reduce_binary
+    from .lattice import reduce_binary
 
-    gram = _parse_gram_arg(args.gram)
-    try:
-        form = reduce_binary(BinaryEvenForm.from_gram(gram))
-    except LatticeError as exc:
-        raise InputError(f"--gram: {exc}") from None
+    form = reduce_binary(parse_form(loads_json(args.gram, "--gram"), "--gram"))
     return _write_answer("--gram", lambda: {
         "reduced": form_to_json(form),
         "coefficients": [form.a, form.b, form.c],
@@ -145,7 +138,7 @@ def _cmd_lattice_enumerate(args) -> int:
 def _cmd_lattice_overlattices(args) -> int:
     from .lattice import LatticeError, OverlatticeIndexError, enumerate_even_overlattices
 
-    gram = _parse_gram_arg(args.gram)
+    gram = parse_gram(loads_json(args.gram, "--gram"), "--gram")
     try:
         overs = enumerate_even_overlattices(gram, args.index)
     except OverlatticeIndexError as exc:
@@ -273,7 +266,7 @@ def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError, PipelineError) as exc:
+    except (ValueError, OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

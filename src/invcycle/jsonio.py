@@ -5,8 +5,9 @@ accepted on input.  Either way their size is bounded by Python's int/str
 conversion limit (sys.get_int_max_str_digits(), 4300 digits by default),
 which also bounds every number in the output.  Parse errors carry the
 position, schema errors carry the offending field.  Every Gram from
-outside passes `parse_gram`, the one place its shape is checked; the
-records only store, and each is checked here, where a document builds it.
+outside passes `parse_gram`, the one place its shape is checked, and
+every binary form from outside passes `parse_form`; the records only
+store, and each is checked here, where a document builds it.
 
 `surfaces` and `transcendental` are imported inside the parse functions
 that build their types, so the lattice and fiber commands never load them.
@@ -119,6 +120,21 @@ def parse_gram(value: Any, where: str) -> GramLattice:
     return GramLattice(rows)
 
 
+def parse_form(value: Any, where: str) -> BinaryEvenForm:
+    """The binary form of a Gram from outside, the one place one is checked:
+    every lattice the ledger declares or excludes is rank 2, even and
+    positive definite, as a K3 transcendental lattice here is."""
+    lattice = parse_gram(value, where)
+    if lattice.rank != 2:
+        raise SchemaError(f"{where}: binary form needs a rank-2 lattice")
+    if not lattice.is_even():
+        raise SchemaError(f"{where}: binary form needs even diagonal entries")
+    form = BinaryEvenForm.from_gram(lattice)
+    if not form.is_positive_definite():
+        raise SchemaError(f"{where}: the form must be positive definite")
+    return form
+
+
 def gram_to_json(lattice: GramLattice) -> list[list[str]]:
     return [[str(x) for x in row] for row in lattice.gram]
 
@@ -201,15 +217,7 @@ def parse_exclusion_fact(obj: Any, where: str) -> ExclusionFact:
     kind = _require(obj, "kind", str, where)
     provenance = _require(obj, "provenance", str, where)
     _reject_unknown(obj, {"kind", "form", "fibers", "provenance"}, where)
-    form = None
-    if "form" in obj:
-        lattice = parse_gram(obj["form"], f"{where}.form")
-        try:
-            form = BinaryEvenForm.from_gram(lattice)
-        except ValueError as exc:
-            raise SchemaError(f"{where}.form: {exc}") from exc
-        if not form.is_positive_definite():
-            raise SchemaError(f"{where}.form: the form must be positive definite")
+    form = parse_form(obj["form"], f"{where}.form") if "form" in obj else None
     fibers = None
     if "fibers" in obj:
         raw = obj["fibers"]
@@ -323,19 +331,11 @@ def _parse_payload(name: str, payload: dict, where: str) -> tuple[str | None, An
         )
     value = None
     if "gram" in fields:
-        # Every transcendental lattice is a rank-2, even, positive-definite
-        # binary form; past this point only the form is used.
         at, seed = f"{where}.gram", name == "seed_transcendental_lattice"
-        lattice = parse_gram(_require(payload, "gram", list, where), at)
-        if not seed and lattice.det() == 0:
-            raise SchemaError(f"{at}: the lattice must be nondegenerate, its determinant is zero")
-        value = BinaryEvenForm.from_gram(lattice) if lattice.rank == 2 and lattice.is_even() else None
+        value = parse_form(_require(payload, "gram", list, where), at)
         # disc % 4 == 0 keeps every double-cover discriminant candidate integral.
-        if value is None or not value.is_positive_definite() or (seed and value.disc % 4):
-            raise SchemaError(
-                f"{at}: the {'seed' if seed else 'stage'} lattice must have rank 2 and be even and "
-                "positive definite" + (", with discriminant divisible by 4" if seed else "")
-            )
+        if seed and value.disc % 4:
+            raise SchemaError(f"{at}: the seed lattice's discriminant must be divisible by 4")
         # The largest candidate, 4 disc, has its classes enumerated; the
         # limit also bounds the rigidity search on the halved seed.
         if seed and 4 * value.disc > MAX_CLASS_DISC:

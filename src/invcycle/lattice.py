@@ -3,7 +3,9 @@
 Everything here runs on arbitrary-precision Python integers; no floating
 point is used anywhere.  All values are immutable records and all
 functions are pure, so the module is safe to use from concurrent
-callers.  Inputs are not re-checked: `jsonio.parse_gram` checks each Gram.
+callers.  Inputs are not re-checked: `jsonio.parse_gram` checks each Gram
+and `jsonio.parse_form` each binary form from outside, so
+`BinaryEvenForm.from_gram` and `reduce_binary` check nothing.
 """
 
 from __future__ import annotations
@@ -11,31 +13,15 @@ from __future__ import annotations
 import math
 from itertools import compress
 from operator import attrgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class LatticeError(ValueError):
     """Base class for lattice arithmetic errors."""
 
 
-class DegenerateLatticeError(LatticeError):
-    """The operation needs a nondegenerate lattice (det != 0)."""
-
-
-class NotEvenError(LatticeError):
-    """The operation needs an even lattice (all diagonal entries even)."""
-
-
-class NotPositiveDefiniteError(LatticeError):
-    """The operation needs a positive-definite form."""
-
-
 class NotPerfectSquareRatioError(LatticeError):
     """A discriminant ratio is not the square of a positive integer."""
-
-
-class PreconditionViolatedError(LatticeError):
-    """Input has a rank or signature the operation does not support."""
 
 
 class OverlatticeIndexError(LatticeError):
@@ -308,10 +294,9 @@ class BinaryEvenForm(FrozenRecord):
 
     @classmethod
     def from_gram(cls, lattice: GramLattice) -> "BinaryEvenForm":
-        if lattice.rank != 2:
-            raise PreconditionViolatedError("binary form needs a rank-2 lattice")
-        if not lattice.is_even():
-            raise NotEvenError("binary form needs even diagonal entries")
+        """The form of an even rank-2 lattice, unchecked: `jsonio.parse_form`
+        checks a Gram from outside, and an even overlattice of a binary form
+        is one."""
         g = lattice.gram
         return cls(g[0][0] // 2, g[0][1], g[1][1] // 2)
 
@@ -320,10 +305,9 @@ def reduce_binary(form: BinaryEvenForm) -> BinaryEvenForm:
     """Gauss-reduced representative with 0 <= b <= a <= c.
 
     Equivalence is taken up to lattice isometry, so the sign of b is
-    normalized away; ties a = c or b = a keep b >= 0.
+    normalized away; ties a = c or b = a keep b >= 0.  The form must be
+    positive definite, which `jsonio.parse_form` checks for outside input.
     """
-    if not form.is_positive_definite():
-        raise NotPositiveDefiniteError(f"form {form} is not positive definite")
     a, b, c = form.a, form.b, form.c
     while True:
         if b > a or b <= -a:
@@ -484,68 +468,65 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _hermite_offsets(basis: list[list[int]], c: int) -> list[list[int]]:
+def _hermite_offsets(
+    basis: list[list[int]], c: int, j: int, rest: list[int], x: list[int],
+) -> Iterator[list[int]]:
     """Every x with 0 <= x[j] < basis[j][j] and c * x in the row span of basis.
 
     basis is lower-triangular with positive pivots, so membership is
     settled column by column from the last: what is left of column j
     must be a multiple of its pivot, a linear congruence in x[j] with
-    gcd(c, pivot) solutions or none.
+    gcd(c, pivot) solutions or none.  The search starts at the last
+    column j with rest all zero and x empty; x holds the entries chosen
+    past column j, last first, and column k of c * x minus the rows
+    after j taken off it is c * x[k] + rest[k].
     """
-    out = []
-
-    def solve(j: int, rest: list[int], x: list[int]) -> None:
-        # Column k of c * x minus the rows after j taken off it is
-        # c * x[k] + rest[k].
-        if j < 0:
-            out.append(x[::-1])
-            return
-        pivot = basis[j][j]
-        g = math.gcd(c, pivot)
-        if rest[j] % g:
-            return
-        step = pivot // g
-        first = -(rest[j] // g) * pow(c // g, -1, step) % step
-        for xj in range(first, pivot, step):
-            q = (c * xj + rest[j]) // pivot
-            solve(j - 1, [r - q * b for r, b in zip(rest, basis[j][:j])], x + [xj])
-
-    solve(len(basis) - 1, [0] * len(basis), [])
-    return out
+    if j < 0:
+        yield x[::-1]
+        return
+    pivot = basis[j][j]
+    g = math.gcd(c, pivot)
+    if rest[j] % g:
+        return
+    step = pivot // g
+    first = -(rest[j] // g) * pow(c // g, -1, step) % step
+    for xj in range(first, pivot, step):
+        q = (c * xj + rest[j]) // pivot
+        rest_left = [r - q * b for r, b in zip(rest, basis[j][:j])]
+        yield from _hermite_offsets(basis, c, j - 1, rest_left, x + [xj])
 
 
 def _even_hermite_grams(gram: tuple[tuple[int, ...], ...], m: int) -> list[GramLattice]:
     """The Grams over m^2 of the Hermite bases that survive the search."""
-    n, mm = len(gram), m * m
-    target = m ** (n - 1)
     divisors = [d for d in range(1, m + 1) if m % d == 0]
-    basis: list[list[int]] = []
-    images: list[list[int]] = []  # gram times each row of basis
-    grams = []
-
-    def extend(index: int) -> None:
-        i = len(basis)
-        if i == n:
-            grams.append(GramLattice([[_dot(u, image) // mm for u in basis] for image in images]))
-            return
-        room = m ** (n - 1 - i)  # the largest product the later pivots can reach
-        for d in divisors:
-            left, r = divmod(target, index * d)  # the product the later pivots must reach
-            if r or room % left:
-                continue
-            for x in _hermite_offsets(basis, m // d):
-                row = x + [d] + [0] * (n - 1 - i)
-                image = [_dot(g, row) for g in gram]
-                if _dot(row, image) % (2 * mm) or any(_dot(u, image) % mm for u in basis):
-                    continue
-                basis.append(row)
-                images.append(image)
-                extend(index * d)
-                basis.pop()
-                images.pop()
-
-    extend(1)
+    grams: list[GramLattice] = []
+    _extend_hermite(gram, m, divisors, [], [], 1, grams)
     return grams
+
+
+def _extend_hermite(
+    gram: tuple[tuple[int, ...], ...], m: int, divisors: list[int],
+    basis: list[list[int]], images: list[list[int]], index: int, grams: list[GramLattice],
+) -> None:
+    """Append to grams the Gram over m^2 of each surviving completion of
+    basis, whose pivots multiply to index; images holds gram times each
+    row of basis.  A module-level recursion: a nested closure that calls
+    itself is a reference cycle, left for the cyclic collector per call."""
+    n, i, mm = len(gram), len(basis), m * m
+    if i == n:
+        grams.append(GramLattice([[_dot(u, image) // mm for u in basis] for image in images]))
+        return
+    room = m ** (n - 1 - i)  # the largest product the later pivots can reach
+    for d in divisors:
+        left, r = divmod(m ** (n - 1), index * d)  # the product the later pivots must reach
+        if r or room % left:
+            continue
+        for x in _hermite_offsets(basis, m // d, i - 1, [0] * i, []):
+            row = x + [d] + [0] * (n - 1 - i)
+            image = [_dot(g, row) for g in gram]
+            if _dot(row, image) % (2 * mm) or any(_dot(u, image) % mm for u in basis):
+                continue
+            _extend_hermite(gram, m, divisors, basis + [row], images + [image], index * d, grams)
 
 
 def enumerate_even_overlattices(lattice: GramLattice, m: int) -> list[GramLattice]:
@@ -571,10 +552,10 @@ def enumerate_even_overlattices(lattice: GramLattice, m: int) -> list[GramLattic
     if not isinstance(m, int) or m < 2:
         raise OverlatticeIndexError("overlattice index must be an integer >= 2")
     if not lattice.is_even():
-        raise NotEvenError("overlattice enumeration needs an even lattice")
+        raise LatticeError("overlattice enumeration needs an even lattice")
     det = lattice.det()
     if det == 0:
-        raise DegenerateLatticeError("overlattice enumeration needs det != 0")
+        raise LatticeError("overlattice enumeration needs det != 0")
     n = lattice.rank
     if n == 0:
         return []

@@ -44,8 +44,8 @@ from .mordell_weil import PicardTooSmallError, check_disc_consistency, shioda_ta
 from .surfaces import (
     BaseChangeResult,
     BranchSpec,
-    EulerNotDivisibleBy12Error,
     SurfaceConfig,
+    SurfaceError,
     SurfaceInvariants,
     invariants,
     quadratic_base_change,
@@ -525,7 +525,7 @@ _STAGES_WITHOUT_SEED_LATTICE = (_seed_stage, _covering_stages, _no_seed_lattice,
 def run_pipeline(spec: PipelineSpec) -> dict:
     try:
         seed_inv = invariants(spec.seed)
-    except EulerNotDivisibleBy12Error as exc:
+    except SurfaceError as exc:
         raise SchemaError(f"config.fibers: {exc}") from None
     if seed_inv.kind != "K3" or seed_inv.e != 24:
         # With e = 24, only a base genus other than 0 keeps the seed from K3.

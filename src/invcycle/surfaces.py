@@ -20,11 +20,7 @@ from .lattice import FrozenRecord
 
 
 class SurfaceError(ValueError):
-    """Base class for configuration errors."""
-
-
-class EulerNotDivisibleBy12Error(SurfaceError):
-    """Total Euler number of the fibers is not a multiple of 12."""
+    """A configuration that the operation cannot carry."""
 
 
 class SurfaceConfig(FrozenRecord):
@@ -53,7 +49,7 @@ def invariants(config: SurfaceConfig) -> SurfaceInvariants:
     """Numerical invariants from the Euler number and the base genus."""
     e = config.euler_total()
     if e % 12 != 0:
-        raise EulerNotDivisibleBy12Error(f"total Euler number {e} is not divisible by 12")
+        raise SurfaceError(f"total Euler number {e} is not divisible by 12")
     d = e // 12
     g = config.base_genus
     p_g = d + g - 1

@@ -152,19 +152,18 @@ def resolve_disc(
             i = bisect_left(forms, abc(form), key=abc)
             if i < len(forms) and forms[i] == form:
                 hits.setdefault(i, fact)
+    # The first denominator-bound fact applies the bound; a later one would repeat it.
+    bound = next((fact for fact in facts if fact.kind == "denominator_bound"), None)
     certificate = []
     surviving = []
     for alpha, disc in candidates:
         forms, hits = classes[disc], excluding[disc]
         reason = None if forms else "no even positive-definite binary form has this discriminant"
-        for fact in facts:
-            if fact.kind != "denominator_bound" or reason is not None:
-                continue
-            if torsion_order is None:
-                continue  # no torsion assumption: the bound cannot be applied
+        # Without a torsion assumption the bound cannot be applied.
+        if reason is None and bound is not None and torsion_order is not None:
             check = check_disc_consistency(context, disc, rho, torsion_order)
             if not check.consistent:
-                reason = f"{check.reason} [{fact.provenance}]"
+                reason = f"{check.reason} [{bound.provenance}]"
         excluded = reason is not None or len(hits) == len(forms)
         certificate.append(CandidateVerdict(alpha, disc, excluded, reason, forms, hits))
         if not excluded:

@@ -309,24 +309,32 @@ class TestInProcess:
             first(entries, "stage_transcendental_lattice")["payload"]["gram"] = [[0, 0], [0, 0]]
 
         err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
-        assert err == (
-            "error: assumptions[5].payload.gram: the lattice must be nondegenerate, "
-            "its determinant is zero\n"
-        )
+        assert err == "error: assumptions[5].payload.gram: the form must be positive definite\n"
 
     @pytest.mark.parametrize(
-        "gram",
-        [[[1, 0], [0, 3]], [[-2, 1], [1, -2]], [[2, 1], [1, -2]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]],
+        "gram, message",
+        [
+            ([[1, 0], [0, 3]], "binary form needs even diagonal entries"),
+            ([[-2, 1], [1, -2]], "the form must be positive definite"),
+            ([[2, 1], [1, -2]], "the form must be positive definite"),
+            ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], "binary form needs a rank-2 lattice"),
+        ],
         ids=["odd", "negative-definite", "indefinite", "rank-3"],
     )
-    def test_invalid_stage_lattice_names_the_field(self, tmp_path, capsys, gram):
+    def test_invalid_stage_lattice_names_the_field(self, tmp_path, capsys, gram, message):
         def edit(entries):
             first(entries, "stage_transcendental_lattice")["payload"]["gram"] = gram
 
         err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
+        assert err == f"error: assumptions[5].payload.gram: {message}\n"
+
+    def test_seed_discriminant_not_divisible_by_4_names_the_field(self, tmp_path, capsys):
+        def edit(entries):
+            first(entries, "seed_transcendental_lattice")["payload"]["gram"] = [[2, 1], [1, 2]]
+
+        err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])
         assert err == (
-            "error: assumptions[5].payload.gram: the stage lattice must have rank 2 "
-            "and be even and positive definite\n"
+            "error: assumptions[3].payload.gram: the seed lattice's discriminant must be divisible by 4\n"
         )
 
 
@@ -376,6 +384,58 @@ def test_stage_lattice_rule_decides_the_field_error(tmp_path_factory, gram):
         assert code == 1 and out.getvalue() == ""
         assert err.getvalue().startswith(field_error) and err.getvalue().count("\n") == 1
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram=STAGE_GRAMS, as_strings=st.booleans())
+def test_form_entry_points_agree(tmp_path_factory, gram, as_strings):
+    """parse_form takes a Gram exactly when it is a rank-2, even,
+    positive-definite binary form.  A Gram it refuses, given as example
+    1's stage lattice, as its not_isomorphic_to fact's form or to `lattice
+    reduce`, is one error line with parse_form's message under that entry's
+    field; a Gram it takes gets no error naming the field."""
+    from invcycle import cli
+    from invcycle.jsonio import SchemaError, parse_form
+    from invcycle.lattice import BinaryEvenForm
+
+    if len(gram) == 2 and gram[0][0] % 2 == 0 and gram[1][1] % 2 == 0:
+        a, b, c = gram[0][0] // 2, gram[0][1], gram[1][1] // 2
+        keeps_rule = a > 0 and 4 * a * c - b * b > 0
+    else:
+        keeps_rule = False
+    if as_strings:
+        gram = [[str(x) for x in row] for row in gram]
+    try:
+        form, body = parse_form(gram, "g"), None
+        assert keeps_rule and form == BinaryEvenForm(a, b, c)
+    except SchemaError as exc:
+        body = str(exc).removeprefix("g: ")
+        assert not keeps_rule
+
+    workdir = tmp_path_factory.getbasetemp() / "form-entry-points"
+    workdir.mkdir(exist_ok=True)
+
+    def ledger(index, key):
+        def edit(entries):
+            entries[index]["payload"][key] = gram
+
+        return ["custom", *example1_args(workdir, edit)]
+
+    # Each ledger is written just before its run: both go to one file.
+    entry_points = [
+        ("assumptions[5].payload.gram", lambda: ledger(5, "gram")),
+        ("assumptions[11].payload.form", lambda: ledger(11, "form")),
+        ("--gram", lambda: ["lattice", "reduce", "--gram", json.dumps(gram)]),
+    ]
+    for field, argv in entry_points:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv())
+        assert "Traceback" not in err.getvalue()
+        if body is None:
+            assert f"error: {field}:" not in err.getvalue()
+        else:
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {field}: {body}\n")
 
 
 def main_error(capsys, argv):
@@ -581,10 +641,7 @@ class TestLatticeCommands:
         [
             (["reduce", "--gram", "[[1,0],[0,2]]"], "--gram: binary form needs even diagonal entries"),
             (["reduce", "--gram", "[[2]]"], "--gram: binary form needs a rank-2 lattice"),
-            (
-                ["reduce", "--gram", "[[-2,0],[0,2]]"],
-                "--gram: form BinaryEvenForm(a=-1, b=0, c=1) is not positive definite",
-            ),
+            (["reduce", "--gram", "[[-2,0],[0,2]]"], "--gram: the form must be positive definite"),
             (
                 ["overlattices", "--gram", "[[1,0],[0,2]]", "--index", "2"],
                 "--gram: overlattice enumeration needs an even lattice",

@@ -26,6 +26,7 @@ from invcycle.jsonio import (
     parse_assumptions,
     parse_branch_spec,
     parse_exclusion_fact,
+    parse_form,
     parse_gram,
     parse_int_entry,
     parse_surface_config,
@@ -150,6 +151,21 @@ class TestGram:
 
     def test_rank_zero_accepted(self):
         assert parse_gram([], "g").rank == 0
+
+    def test_parse_form_validation(self):
+        # parse_form is the only check: from_gram and reduce_binary make none.
+        form = parse_form([["2", "1"], [1, 2]], "g")
+        assert (form.a, form.b, form.c, form.disc) == (1, 1, 1, 3)
+        for value, message in [
+            ([[2]], "binary form needs a rank-2 lattice"),
+            ([[1, 0], [0, 2]], "binary form needs even diagonal entries"),
+            ([[-2, 0], [0, 2]], "the form must be positive definite"),
+            ([[2, 2], [2, 2]], "the form must be positive definite"),
+            ([[2, 1]], "Gram matrix must be square"),
+        ]:
+            with pytest.raises(SchemaError) as info:
+                parse_form(value, "g")
+            assert str(info.value) == f"g: {message}"
 
     def test_non_array_rejected(self):
         with pytest.raises(SchemaError):

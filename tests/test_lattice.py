@@ -1,5 +1,6 @@
 """Lattice arithmetic: Gram matrices, SNF, binary forms, overlattices."""
 
+import gc
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from invcycle import cli, lattice
 from invcycle.lattice import (
     BinaryEvenForm,
     GramLattice,
-    NotEvenError,
     NotPerfectSquareRatioError,
     OverlatticeIndexError,
     enumerate_even_overlattices,
@@ -203,15 +203,6 @@ class TestSmithNormalForm:
 
 
 class TestBinaryForms:
-    def test_from_gram_validation(self):
-        form = BinaryEvenForm.from_gram(A2)
-        assert (form.a, form.b, form.c) == (1, 1, 1)
-        assert form.disc == 3
-        with pytest.raises(NotEvenError):
-            BinaryEvenForm.from_gram(GramLattice([[1, 0], [0, 2]]))
-        with pytest.raises(ValueError):
-            BinaryEvenForm.from_gram(GramLattice([[2]]))
-
     def test_reduce_frozen_cases(self):
         # (a, b, c) in raw form -> reduced triple
         cases = [
@@ -430,6 +421,19 @@ class TestOverlattices:
             scaled = GramLattice([[2 * m * m if i == j else 0 for j in range(rank)] for i in range(rank)])
             with pytest.raises(Reached):
                 enumerate_even_overlattices(scaled, m)
+
+
+    def test_leaves_no_reference_cycle(self):
+        # A search that calls itself through a closure would leave a cycle
+        # for the cyclic collector on every call.
+        gc.collect()
+        gc.disable()
+        try:
+            overs = enumerate_even_overlattices(GramLattice([[8, 0], [0, 8]]), 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert overs
 
 
 class TestIndexFromDiscs:

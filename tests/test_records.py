@@ -30,13 +30,7 @@ from invcycle.jsonio import (
     parse_surface_config,
 )
 from invcycle.kodaira import FiberProfile, KodairaFiber, fiber, fiber_profile
-from invcycle.lattice import (
-    BinaryEvenForm,
-    FrozenRecord,
-    GramLattice,
-    NotPositiveDefiniteError,
-    reduce_binary,
-)
+from invcycle.lattice import BinaryEvenForm, FrozenRecord, GramLattice
 from invcycle.mordell_weil import DiscConsistency, ShiodaTateResult, check_disc_consistency, shioda_tate
 from invcycle.pipeline import PipelineSpec, Reason, _Run, build_pipeline_spec
 from invcycle.surfaces import (
@@ -152,12 +146,6 @@ def test_reprs():
     assert repr(Assumption("picard_maximal", {}, "p", None, None)) == (
         "Assumption(name='picard_maximal', payload={}, provenance='p', stage=None, value=None)"
     )
-
-
-def test_repr_in_error_text():
-    with pytest.raises(NotPositiveDefiniteError) as info:
-        reduce_binary(BinaryEvenForm(-1, 0, -1))
-    assert str(info.value) == "form BinaryEvenForm(a=-1, b=0, c=-1) is not positive definite"
 
 
 def test_missing_and_unknown_arguments():

@@ -8,8 +8,8 @@ from invcycle.jsonio import SchemaError, parse_branch_spec, parse_surface_config
 from invcycle.kodaira import fiber, is_star
 from invcycle.surfaces import (
     BranchSpec,
-    EulerNotDivisibleBy12Error,
     SurfaceConfig,
+    SurfaceError,
     invariants,
     quadratic_base_change,
 )
@@ -76,7 +76,7 @@ class TestInvariants:
 
     def test_euler_must_be_divisible_by_12(self):
         cfg = config("bad", 0, ["II*", "III"])  # e = 13
-        with pytest.raises(EulerNotDivisibleBy12Error):
+        with pytest.raises(SurfaceError, match="not divisible by 12"):
             invariants(cfg)
 
 
