@@ -28,6 +28,7 @@ from .jsonio import (
     load_json,
     loads_json,
     parse_branch_spec,
+    parse_fiber_token,
     parse_form,
     parse_gram,
     parse_surface_config,
@@ -87,9 +88,9 @@ def _cmd_custom(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    from .kodaira import delta, euler_number, fiber, fiber_profile, quadratic_base_change_fiber
+    from .kodaira import delta, euler_number, fiber_profile, quadratic_base_change_fiber
 
-    f = fiber(args.token)
+    f = parse_fiber_token(args.token, "token")
     profile = fiber_profile(f)
     doc = {
         "type": f.token,
@@ -118,12 +119,15 @@ def _cmd_lattice_reduce(args) -> int:
 
 
 def _cmd_lattice_enumerate(args) -> int:
-    from .lattice import enumerate_even_posdef_binary
+    from .lattice import MAX_CLASS_DISC, enumerate_even_posdef_binary
 
-    try:
-        forms = enumerate_even_posdef_binary(args.disc)
-    except ValueError as exc:
-        raise InputError(f"--disc: {exc}") from None
+    if args.disc < 1:
+        raise InputError("--disc: discriminant must be a positive integer")
+    if args.disc > MAX_CLASS_DISC:
+        raise InputError(
+            f"--disc: discriminant {args.disc} exceeds the class-enumeration limit {MAX_CLASS_DISC}"
+        )
+    forms = enumerate_even_posdef_binary(args.disc)
     doc = {
         "disc": args.disc,
         "count": len(forms),
@@ -136,15 +140,23 @@ def _cmd_lattice_enumerate(args) -> int:
 
 
 def _cmd_lattice_overlattices(args) -> int:
-    from .lattice import LatticeError, OverlatticeIndexError, enumerate_even_overlattices
+    from .lattice import MAX_OVERLATTICE_SEARCH, enumerate_even_overlattices
 
     gram = parse_gram(loads_json(args.gram, "--gram"), "--gram")
-    try:
-        overs = enumerate_even_overlattices(gram, args.index)
-    except OverlatticeIndexError as exc:
-        raise InputError(f"--index: {exc}") from None
-    except LatticeError as exc:
-        raise InputError(f"--gram: {exc}") from None
+    m, n = args.index, gram.rank
+    if m < 2:
+        raise InputError("--index: overlattice index must be an integer >= 2")
+    if not gram.is_even():
+        raise InputError("--gram: overlattice enumeration needs an even lattice")
+    det = gram.det()
+    if det == 0:
+        raise InputError("--gram: overlattice enumeration needs det != 0")
+    if m ** max(n - 1, 1) > MAX_OVERLATTICE_SEARCH:
+        raise InputError(
+            f"--index: index {m} at rank {n} exceeds the overlattice search limit: "
+            f"{'m^(rank-1)' if n > 1 else 'm'} must be at most {MAX_OVERLATTICE_SEARCH}"
+        )
+    overs = enumerate_even_overlattices(gram, m) if det % (m * m) == 0 else []
     return _write_answer("--gram", lambda: {
         "gram": gram_to_json(gram),
         "index": args.index,

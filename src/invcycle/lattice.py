@@ -5,7 +5,9 @@ point is used anywhere.  All values are immutable records and all
 functions are pure, so the module is safe to use from concurrent
 callers.  Inputs are not re-checked: `jsonio.parse_gram` checks each Gram
 and `jsonio.parse_form` each binary form from outside, so
-`BinaryEvenForm.from_gram` and `reduce_binary` check nothing.
+`BinaryEvenForm.from_gram` and `reduce_binary` check nothing.  The two
+kernels only search: the `lattice` commands refuse input outside their
+contracts.
 """
 
 from __future__ import annotations
@@ -16,16 +18,8 @@ from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 
-class LatticeError(ValueError):
-    """Base class for lattice arithmetic errors."""
-
-
-class NotPerfectSquareRatioError(LatticeError):
+class NotPerfectSquareRatioError(ValueError):
     """A discriminant ratio is not the square of a positive integer."""
-
-
-class OverlatticeIndexError(LatticeError):
-    """An overlattice index below 2 or past MAX_OVERLATTICE_SEARCH."""
 
 
 class FrozenRecord:
@@ -369,7 +363,7 @@ def _lift_roots(roots: list[int], n: int, p: int, q: int) -> list[int]:
     return [x for r in roots for x in range(r, qp, q) if (x * x - n) % qp == 0]
 
 
-# Largest discriminant enumerate_even_posdef_binary accepts.  Its time
+# Largest discriminant enumerate_even_posdef_binary is run on.  Its time
 # and memory grow as sqrt(disc), as does the class list it returns: at
 # this limit about 4 s and 130 MiB on a 2-vCPU x86-64 VM.
 MAX_CLASS_DISC = 10**12
@@ -387,14 +381,9 @@ def enumerate_even_posdef_binary(disc: int) -> list[BinaryEvenForm]:
     table, joined by the Chinese remainder theorem (Cohen, GTM 138,
     5.3).  A prime power with no root rules out all its multiples at
     once.  The cost is about sqrt(disc) times small factors, not the
-    disc / 6 steps of a scan over every (a, b).
+    disc / 6 steps of a scan over every (a, b).  disc is unchecked: the
+    `lattice enumerate` command and `jsonio` keep 1 <= disc <= MAX_CLASS_DISC.
     """
-    if not isinstance(disc, int) or disc < 1:
-        raise ValueError("discriminant must be a positive integer")
-    if disc > MAX_CLASS_DISC:
-        raise ValueError(
-            f"discriminant {disc} exceeds the class-enumeration limit {MAX_CLASS_DISC}"
-        )
     if disc % 4 in (1, 2):
         return []  # b^2 = -disc (mod 4) has no solution
     a_max = math.isqrt(disc // 3)
@@ -456,11 +445,13 @@ def sublattice_index_from_discs(d_sub: int, d_sup: int) -> int:
     return root
 
 
-# Largest m^(rank - 1) that enumerate_even_overlattices accepts for index
-# m: the index in Z^rank of the lattices its search walks, whose number
-# grows with it.  At this limit the slowest input without an overlattice
-# that a random search found took 0.16 s on a 2-vCPU x86-64 VM; inputs
-# with thousands of overlattices take time per overlattice returned.
+# Largest m^(rank - 1) that enumerate_even_overlattices is run on for
+# index m: the index in Z^rank of the lattices its search walks, whose
+# number grows with it.  The search also scans 1..m for the divisors of m,
+# so at rank 0 and 1 the limit bounds m.  At this limit the slowest input
+# without an overlattice that a random search found took 0.16 s on a
+# 2-vCPU x86-64 VM; inputs with thousands of overlattices take time per
+# overlattice returned.
 MAX_OVERLATTICE_SEARCH = 10**4
 
 
@@ -545,27 +536,12 @@ def enumerate_even_overlattices(lattice: GramLattice, m: int) -> list[GramLattic
 
     Each result is returned in that canonical basis: its rows are the
     Hermite basis over (1/m) times the input basis.  Results are sorted
-    by Gram matrix.  det(result) = det(input) / m^2, so there are none
-    unless m^2 divides |det|.  An index below 2, or with m^(n-1) above
-    MAX_OVERLATTICE_SEARCH, raises OverlatticeIndexError before any search.
+    by Gram matrix; det(result) = det(input) / m^2.  The input is
+    unchecked: the lattice is even and nondegenerate, 2 <= m, m^2 | det
+    (else there is no overlattice) and m^max(rank-1, 1) is at most
+    MAX_OVERLATTICE_SEARCH, as the `lattice overlattices` command and
+    `rigidity_transfer` ensure.
     """
-    if not isinstance(m, int) or m < 2:
-        raise OverlatticeIndexError("overlattice index must be an integer >= 2")
-    if not lattice.is_even():
-        raise LatticeError("overlattice enumeration needs an even lattice")
-    det = lattice.det()
-    if det == 0:
-        raise LatticeError("overlattice enumeration needs det != 0")
-    n = lattice.rank
-    if n == 0:
-        return []
-    if m ** (n - 1) > MAX_OVERLATTICE_SEARCH:
-        raise OverlatticeIndexError(
-            f"index {m} at rank {n} exceeds the overlattice search limit: "
-            f"m^(rank-1) must be at most {MAX_OVERLATTICE_SEARCH}"
-        )
-    if abs(det) % (m * m) != 0:
-        return []
     return sorted(_even_hermite_grams(lattice.gram, m), key=attrgetter("gram"))
 
 

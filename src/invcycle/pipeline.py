@@ -52,7 +52,6 @@ from .surfaces import (
 )
 from .transcendental import (
     DiscResolution,
-    NothingSurvivesError,
     RigidityCertificate,
     VERDICT_FAILS,
     candidate_classes,
@@ -402,12 +401,13 @@ def _resolution_stage(run: _Run) -> None:
         torsion = spec.torsion.get(name)
         if classes is None:
             classes = candidate_classes(candidates)
-        try:
-            resolution = resolve_disc(
-                candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
+        resolution = resolve_disc(
+            candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
+        )
+        if not resolution.surviving:
+            raise PipelineContradictionError(
+                f"assumptions: stage {name}: every discriminant candidate was excluded"
             )
-        except NothingSurvivesError as exc:
-            raise PipelineContradictionError(f"assumptions: stage {name}: {exc}") from None
         items.append({"stage": name, "resolution": _resolution_json(resolution, rendered)})
         run.pinned[name] = ([d for _a, d in resolution.surviving], "resolution")
         if not resolution.resolved:

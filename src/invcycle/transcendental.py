@@ -32,10 +32,6 @@ VERDICT_HOLDS_POSSIBLE = "LICT_holds_possible"
 FACT_KINDS = ("not_isomorphic_to", "no_fibration_with_fibers", "denominator_bound")
 
 
-class NothingSurvivesError(ValueError):
-    """Every discriminant candidate was excluded; the fact set is inconsistent."""
-
-
 class ExclusionFact(FrozenRecord):
     """An externally certified exclusion, quoted with its provenance.
 
@@ -132,8 +128,9 @@ def resolve_disc(
     (see candidate_classes).  A class-level fact kills one reduced form;
     the denominator-bound fact kills a whole candidate.  The certificate
     records the outcome for every candidate and, by position in its
-    class tuple, every excluded class.  All candidates excluded is an
-    error; more than one survivor is a valid ambiguous state.
+    class tuple, every excluded class.  More than one survivor is a valid
+    ambiguous state; none leaves `surviving` empty, an inconsistent fact
+    set that the pipeline reports as a contradiction.
     """
     context_tokens, abc = context.fiber_tokens(), attrgetter("a", "b", "c")
     # The first fact that applies here to each reduced form, found among
@@ -168,8 +165,6 @@ def resolve_disc(
         certificate.append(CandidateVerdict(alpha, disc, excluded, reason, forms, hits))
         if not excluded:
             surviving.append((alpha, disc))
-    if not surviving:
-        raise NothingSurvivesError("every discriminant candidate was excluded")
     return DiscResolution(tuple(certificate), tuple(surviving))
 
 

@@ -577,7 +577,7 @@ class TestFiberCommand:
     def test_bad_token(self):
         proc = run_cli("fiber", "info", "II**")
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
+        assert (proc.stdout, proc.stderr) == ("", "error: token: unrecognized fiber token 'II**'\n")
 
     def test_missing_action(self):
         proc = run_cli("fiber", "I5")
@@ -688,24 +688,48 @@ def malformed_grams(draw):
     return gram
 
 
-# A field name: an option, or a Gram entry of the --gram option.
-FIELD_ERROR = re.compile(r"error: --(gram(\[\d+\]\[\d+\])?|index): [^\n]+\n")
+# A field name: an option, a Gram entry of the --gram option, or the
+# positional fiber token.
+FIELD_ERROR = re.compile(r"error: (--(gram(\[\d+\]\[\d+\])?|index|disc)|token): [^\n]+\n")
 
-
-@settings(max_examples=200, deadline=None)
-@given(
-    command=st.sampled_from(["reduce", "overlattices"]),
-    gram=st.one_of(symmetric_grams(st.integers(0, 3)), STAGE_GRAMS, malformed_grams()),
-    index=st.integers(-2, 12),
+# Near the class-enumeration limit 10^12 only discs = 1, 2 (mod 4), which
+# have no classes, are drawn below it: a full enumeration there takes seconds.
+DISCS = st.one_of(
+    st.integers(-3, 60),
+    st.sampled_from([10**12 - 3, 10**12 - 2]),
+    st.integers(10**12 + 1, 10**12 + 3),
+    st.integers(10**13 - 2, 10**13 + 2),
 )
-def test_lattice_commands_answer_or_name_the_field(command, gram, index):
-    """Any small Gram and index within MAX_OVERLATTICE_SEARCH ends in an
-    answer or in one error line naming --gram or --index."""
+FIBER_TOKENS = st.one_of(
+    st.sampled_from(["I0", "I5", "I0*", "I3*", "II", "III*", "IV*", "II*", "II**", "I", "I*",
+                     "I03", "i2", "V", "", "I1000000000001", "I" + "9" * 30]),
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=4).filter(
+        lambda t: not t.startswith("-")
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["reduce", "overlattices", "enumerate", "fiber"]),
+    gram=st.one_of(symmetric_grams(st.integers(0, 3)), STAGE_GRAMS, malformed_grams()),
+    index=st.one_of(st.integers(-2, 12), st.sampled_from([10**4 + 1, 10**12])),
+    disc=DISCS,
+    token=FIBER_TOKENS,
+)
+@example(command="overlattices", gram=[[2 * 10**24]], index=10**12, disc=1, token="I0")
+def test_lattice_commands_answer_or_name_the_field(command, gram, index, disc, token):
+    """Any small Gram with an index within or past MAX_OVERLATTICE_SEARCH,
+    any disc around 0 and the class-enumeration limit, and any short fiber
+    token end in an answer or in one error line naming the field."""
     from invcycle import cli
 
-    argv = ["lattice", command, "--gram", json.dumps(gram)]
-    if command == "overlattices":
-        argv += ["--index", str(index)]
+    argv = {
+        "reduce": ["lattice", "reduce", "--gram", json.dumps(gram)],
+        "overlattices": ["lattice", "overlattices", "--gram", json.dumps(gram), "--index", str(index)],
+        "enumerate": ["lattice", "enumerate", "--disc", str(disc)],
+        "fiber": ["fiber", "info", token],
+    }[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

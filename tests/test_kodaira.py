@@ -263,7 +263,7 @@ class TestFiberLimit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: fiber token '{token}': n exceeds the limit {self.LIMIT}\n"
+            f"error: token: fiber token '{token}': n exceeds the limit {self.LIMIT}\n"
         )
 
     def test_config_names_the_field(self):

@@ -1,6 +1,7 @@
 """Lattice arithmetic: Gram matrices, SNF, binary forms, overlattices."""
 
 import gc
+import json
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from invcycle.lattice import (
     BinaryEvenForm,
     GramLattice,
     NotPerfectSquareRatioError,
-    OverlatticeIndexError,
     enumerate_even_overlattices,
     enumerate_even_posdef_binary,
     reduce_binary,
@@ -33,6 +33,21 @@ from oracles import (
 )
 
 A2 = GramLattice([[2, 1], [1, 2]])
+
+
+def cli_error(capsys, argv):
+    """The stderr of `verify lattice *argv`, which must exit 1 with no stdout."""
+    code = cli.main(["lattice", *argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    return err
+
+
+def overlattices_argv(rank, m):
+    """`overlattices` on 2m^2 times the identity, where an index-m search starts."""
+    gram = [[2 * m * m if i == j else 0 for j in range(rank)] for i in range(rank)]
+    return ["overlattices", "--gram", str(gram), "--index", str(m)]
+
 
 _PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
 # Discriminants up to 10^7, two thirds of them divisible by 4, 8, 9, 25
@@ -299,11 +314,11 @@ class TestEnumeration:
         assert enumerate_even_posdef_binary(1) == []
         assert enumerate_even_posdef_binary(2) == []
 
-    def test_nonpositive_disc_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_even_posdef_binary(0)
-        with pytest.raises(ValueError):
-            enumerate_even_posdef_binary(-4)
+    def test_nonpositive_disc_rejected(self, capsys):
+        for disc in (0, -4):
+            assert cli_error(capsys, ["enumerate", "--disc", str(disc)]) == (
+                "error: --disc: discriminant must be a positive integer\n"
+            )
 
     def test_against_scan_every_disc_to_20000(self):
         for d in range(1, 20001):
@@ -324,9 +339,11 @@ class TestEnumeration:
         assert got[:3] == [(1, 0, 400000), (2, 0, 200000), (4, 0, 100000)]
         assert got[-1] == (712, 688, 728)
 
-    def test_disc_limit(self, monkeypatch):
-        with pytest.raises(ValueError, match="exceeds the class-enumeration limit"):
-            enumerate_even_posdef_binary(lattice.MAX_CLASS_DISC + 1)
+    def test_disc_limit(self, capsys, monkeypatch):
+        disc = lattice.MAX_CLASS_DISC + 1
+        assert cli_error(capsys, ["enumerate", "--disc", str(disc)]) == (
+            f"error: --disc: discriminant {disc} exceeds the class-enumeration limit {disc - 1}\n"
+        )
 
         # At the limit the check passes; stop before the sqrt(disc) tables are built.
         class Reached(Exception):
@@ -337,7 +354,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(lattice, "_smallest_prime_factors", stop)
         with pytest.raises(Reached):
-            enumerate_even_posdef_binary(lattice.MAX_CLASS_DISC)
+            cli.main(["lattice", "enumerate", "--disc", str(lattice.MAX_CLASS_DISC)])
 
     def test_cli_disc_above_limit_exits_1(self, capsys):
         assert cli.main(["lattice", "enumerate", "--disc", str(10**30)]) == 1
@@ -368,8 +385,14 @@ class TestOverlattices:
         # 12 / 4 = 3 admits only A2, but no index-2 vector glues evenly
         assert enumerate_even_overlattices(A2_SCALED, 2) == []
 
-    def test_index_not_dividing(self):
-        assert enumerate_even_overlattices(A2, 2) == []
+    def test_index_not_dividing(self, capsys, monkeypatch):
+        # 2^2 does not divide det(A2) = 3: the command answers without a search.
+        def forbidden(gram, m):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(lattice, "_even_hermite_grams", forbidden)
+        assert cli.main(["lattice", "overlattices", "--gram", "[[2,1],[1,2]]", "--index", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["overlattices"] == []
 
     def test_a2_rescaled3_index3(self):
         overs = enumerate_even_overlattices(GramLattice([[6, 3], [3, 6]]), 3)
@@ -400,16 +423,8 @@ class TestOverlattices:
         mine = enumerate_even_overlattices(GramLattice(gram), m)
         assert [o.gram for o in mine] == even_overlattices_by_closure(gram, m)
 
-    def test_search_limit(self, monkeypatch):
-        with pytest.raises(OverlatticeIndexError, match="must be an integer >= 2"):
-            enumerate_even_overlattices(DIAG44, 1)
-        # m^(rank-1) just past the limit at ranks 2, 3 and 5.
-        for rank, m in ((2, 10**4 + 1), (3, 101), (5, 11)):
-            scaled = GramLattice([[2 * m * m if i == j else 0 for j in range(rank)] for i in range(rank)])
-            with pytest.raises(OverlatticeIndexError, match="exceeds the overlattice search limit"):
-                enumerate_even_overlattices(scaled, m)
-
-        # At the limit the check passes; stop before the search.
+    def test_search_limit(self, capsys, monkeypatch):
+        # Any search reached raises Reached, which cli.main lets escape.
         class Reached(Exception):
             pass
 
@@ -417,11 +432,22 @@ class TestOverlattices:
             raise Reached
 
         monkeypatch.setattr(lattice, "_even_hermite_grams", stop)
-        for rank, m in ((2, 10**4), (3, 100), (5, 10)):
-            scaled = GramLattice([[2 * m * m if i == j else 0 for j in range(rank)] for i in range(rank)])
-            with pytest.raises(Reached):
-                enumerate_even_overlattices(scaled, m)
+        assert cli_error(capsys, overlattices_argv(2, 1)) == (
+            "error: --index: overlattice index must be an integer >= 2\n"
+        )
+        # m^max(rank-1, 1) just past the limit at ranks 0 to 5.  At rank 1
+        # the search would scan 1..m for divisors: hours at m = 10^12.
+        past = ((0, 10**4 + 1), (1, 10**4 + 1), (1, 10**12), (2, 10**4 + 1), (3, 101), (5, 11))
+        for rank, m in past:
+            assert cli_error(capsys, overlattices_argv(rank, m)) == (
+                f"error: --index: index {m} at rank {rank} exceeds the overlattice search limit: "
+                f"{'m' if rank < 2 else 'm^(rank-1)'} must be at most 10000\n"
+            )
 
+        # At the limit the check passes and the search starts.
+        for rank, m in ((1, 10**4), (2, 10**4), (3, 100), (5, 10)):
+            with pytest.raises(Reached):
+                cli.main(["lattice", *overlattices_argv(rank, m)])
 
     def test_leaves_no_reference_cycle(self):
         # A search that calls itself through a closure would leave a cycle

@@ -23,7 +23,6 @@ from invcycle.transcendental import (
     VERDICT_FAILS,
     VERDICT_HOLDS_POSSIBLE,
     ExclusionFact,
-    NothingSurvivesError,
     candidate_classes,
     double_cover_disc_candidates,
     resolve_disc,
@@ -198,10 +197,11 @@ class TestResolveDisc:
                 provenance="p1",
             ),
         ]
-        with pytest.raises(NothingSurvivesError):
-            resolve_disc(
-                candidates, candidate_classes(candidates), facts, EX1_Y2, rho=20, torsion_order=1
-            )
+        res = resolve_disc(
+            candidates, candidate_classes(candidates), facts, EX1_Y2, rho=20, torsion_order=1
+        )
+        assert res.surviving == ()
+        assert all(cand.excluded for cand in res.certificate)
 
     def test_empty_genus_candidate_excluded(self):
         # disc 1 and 2 have no even positive-definite binary forms.
@@ -322,11 +322,7 @@ class TestResolveDiscOracle:
         certificate, surviving, form = resolve_by_classes(
             candidates, classes, facts, context.fiber_tokens(), bound_failure
         )
-        try:
-            res = resolve_disc(candidates, candidate_classes(candidates), facts, context, 20, torsion)
-        except NothingSurvivesError:
-            assert surviving == []
-            return
+        res = resolve_disc(candidates, candidate_classes(candidates), facts, context, 20, torsion)
         assert [
             (cand.alpha, cand.disc, cand.excluded, cand.reason,
              [((cv.form.a, cv.form.b, cv.form.c), cv.excluded_by, cv.fact_kind) for cv in cand.classes])
