@@ -22,6 +22,7 @@ from .jsonio import (
     InputError,
     PipelineError,
     _digit_limit_error,
+    binary_gram_to_json,
     dumps_canonical,
     form_to_json,
     gram_to_json,
@@ -66,11 +67,12 @@ def _emit_report(run, args) -> int:
 
     # Only a custom ledger can hold numbers past the limit.
     report, encoded, shown = _printable("--assumptions", "report", build)
-    sys.stdout.write(shown)
+    # The files first: a failed write exits 1 with nothing on stdout.
     if isinstance(args.json, str):
         Path(args.json).write_text(encoded, encoding="utf-8")
     if args.out:
         Path(args.out).write_text(encoded, encoding="utf-8")
+    sys.stdout.write(shown)
     return report_exit_code(report, strict=args.strict)
 
 
@@ -132,7 +134,7 @@ def _cmd_lattice_enumerate(args) -> int:
         "disc": args.disc,
         "count": len(forms),
         "classes": [
-            {"coefficients": [f.a, f.b, f.c], "gram": form_to_json(f)} for f in forms
+            {"coefficients": [a, b, c], "gram": binary_gram_to_json(a, b, c)} for a, b, c in forms
         ],
     }
     sys.stdout.write(dumps_canonical(doc))

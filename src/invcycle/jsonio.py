@@ -139,10 +139,15 @@ def gram_to_json(lattice: GramLattice) -> list[list[str]]:
     return [[str(x) for x in row] for row in lattice.gram]
 
 
+def binary_gram_to_json(a: int, b: int, c: int) -> list[list[str]]:
+    """The Gram [[2a, b], [b, 2c]] of the form (a, b, c), as gram_to_json
+    renders it, with no lattice or form built."""
+    b = str(b)
+    return [[str(2 * a), b], [b, str(2 * c)]]
+
+
 def form_to_json(form: BinaryEvenForm) -> list[list[str]]:
-    """gram_to_json(form.gram()), without building the lattice."""
-    b = str(form.b)
-    return [[str(2 * form.a), b], [b, str(2 * form.c)]]
+    return binary_gram_to_json(form.a, form.b, form.c)
 
 
 def parse_fiber_token(value: Any, where: str) -> Any:
@@ -360,7 +365,8 @@ def dumps_canonical(document: Any) -> str:
     lists, str, int, bool and None.  Anything else raises TypeError.  An
     array of objects the document holds twice, as two stages may hold one
     candidate's class entries, is encoded once per indent and its text
-    copied: the bytes are unchanged.
+    copied, and a 2x2 matrix of strings, as every binary-form Gram is, is
+    written as one part: the bytes are unchanged.
     """
     parts: list[str] = []
     _encode(document, parts.append, "\n", {})
@@ -398,14 +404,24 @@ def _encode(value: Any, append: Callable[[str], None], pad: str, seen: dict) -> 
         if not value:
             append("[]")
             return
-        ref = None
-        if type(value[0]) is dict:
+        ref, first, inner = None, value[0], pad + "  "
+        if type(first) is dict:
             ref, parts = (id(value), pad), append.__self__
             if ref in seen:
                 append("".join(parts[seen[ref]]))
                 return
             start = len(parts)
-        inner = pad + "  "
+        elif type(first) is list and len(value) == 2 and len(first) == 2:
+            second = value[1]
+            if type(second) is list and len(second) == 2:
+                (a, b), (c, d) = first, second
+                if type(a) is str and type(b) is str and type(c) is str and type(d) is str:
+                    cell = inner + "  "
+                    append(
+                        f"[{inner}[{cell}{_encode_str(a)},{cell}{_encode_str(b)}{inner}],"
+                        f"{inner}[{cell}{_encode_str(c)},{cell}{_encode_str(d)}{inner}]{pad}]"
+                    )
+                    return
         sep = "[" + inner
         for item in value:
             if type(item) is str:

@@ -33,10 +33,9 @@ class FrozenRecord:
     A subclass lists its fields in __slots__; __init__ here stores them
     in that order, passed by position or by keyword.  It calls each slot
     descriptor's own __set__, cached per class, which gets past the
-    raising __setattr__ without looking a name up per field: records
-    built by the hundred per op, such as the `BinaryEvenForm`s of class
-    enumeration, are built by position on that path.  A record only
-    stores: `jsonio` checks every record built from outside input, once.
+    raising __setattr__ without looking a name up per field; a call by
+    position skips matching names to fields.  A record only stores:
+    `jsonio` checks every record built from outside input, once.
     The one record with its own __init__ is `GramLattice`, which converts
     its rows to tuples and ends in super().__init__(...).
 
@@ -365,14 +364,16 @@ def _lift_roots(roots: list[int], n: int, p: int, q: int) -> list[int]:
 
 # Largest discriminant enumerate_even_posdef_binary is run on.  Its time
 # and memory grow as sqrt(disc), as does the class list it returns: at
-# this limit about 4 s and 130 MiB on a 2-vCPU x86-64 VM.
+# this limit about 1 s and 70 MiB on a 2-vCPU x86-64 VM.
 MAX_CLASS_DISC = 10**12
 
 
-def enumerate_even_posdef_binary(disc: int) -> list[BinaryEvenForm]:
-    """All reduced even positive-definite binary forms of discriminant disc.
+def enumerate_even_posdef_binary(disc: int) -> list[tuple[int, int, int]]:
+    """All reduced even positive-definite binary forms of discriminant disc,
+    as (a, b, c) tuples: a class list is built, bisected and rendered
+    without a `BinaryEvenForm` per class.
 
-    Sorted lexicographically by (a, b, c); empty when none exist.
+    Sorted lexicographically; empty when none exist.
 
     A reduced form has 3a^2 <= disc and 0 <= b <= a, and c = (disc + b^2)
     / 4a is integral exactly when b^2 = -disc (mod 4a).  So for each a
@@ -426,7 +427,7 @@ def enumerate_even_posdef_binary(disc: int) -> list[BinaryEvenForm]:
                 break
             c = (disc + b * b) // (4 * a)
             if c >= a:
-                out.append(BinaryEvenForm(a, b, c))
+                out.append((a, b, c))
     return out
 
 

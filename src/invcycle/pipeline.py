@@ -29,6 +29,7 @@ from .jsonio import (
     Assumption,
     PipelineError,
     SchemaError,
+    binary_gram_to_json,
     dumps_canonical,
     exclusion_fact_to_json,
     form_to_json,
@@ -215,7 +216,7 @@ def _resolution_json(resolution: DiscResolution, rendered: dict) -> dict:
     for cand in resolution.certificate:
         classes = rendered.get(cand.disc)
         if classes is None:
-            classes = rendered[cand.disc] = [{"form": form_to_json(form)} for form in cand.forms]
+            classes = rendered[cand.disc] = [{"form": binary_gram_to_json(*abc)} for abc in cand.forms]
         hits = frozenset(cand.excluded_by.items())
         if hits:
             if (cand.disc, hits) not in rendered:

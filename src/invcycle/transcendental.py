@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from operator import attrgetter
 
 from .lattice import (
     BinaryEvenForm,
@@ -62,9 +61,11 @@ class ClassVerdict(FrozenRecord):
 
 
 class CandidateVerdict(FrozenRecord):
-    """forms is the disc's class tuple, shared by the stages; excluded_by
-    maps a position in it to the fact that excludes that class.  reason
-    states a candidate-level exclusion (bounds, empty genus)."""
+    """forms is the disc's sorted tuple of reduced classes as (a, b, c)
+    coefficient tuples, shared by the stages; excluded_by maps a position
+    in it to the fact that excludes that class.  reason states a
+    candidate-level exclusion (bounds, empty genus).  A `BinaryEvenForm`
+    is built only when `classes` or `surviving_form` is asked for."""
 
     __slots__ = ("alpha", "disc", "excluded", "reason", "forms", "excluded_by")
 
@@ -73,9 +74,9 @@ class CandidateVerdict(FrozenRecord):
         """One verdict per class, built on demand; a run builds none."""
         hits = self.excluded_by
         return tuple(
-            ClassVerdict(form, hits[i].provenance, hits[i].kind) if i in hits
-            else ClassVerdict(form, None, None)
-            for i, form in enumerate(self.forms)
+            ClassVerdict(BinaryEvenForm(*abc), hits[i].provenance, hits[i].kind) if i in hits
+            else ClassVerdict(BinaryEvenForm(*abc), None, None)
+            for i, abc in enumerate(self.forms)
         )
 
 
@@ -102,12 +103,14 @@ class DiscResolution(FrozenRecord):
         (a candidate that is not excluded keeps a class)."""
         live = [cand for cand in self.certificate if not cand.excluded]
         if len(live) == 1 and len(live[0].forms) == len(live[0].excluded_by) + 1:
-            return next(f for i, f in enumerate(live[0].forms) if i not in live[0].excluded_by)
+            hits = live[0].excluded_by
+            return BinaryEvenForm(*next(abc for i, abc in enumerate(live[0].forms) if i not in hits))
         return None
 
 
-def candidate_classes(candidates: list[tuple[int, int]]) -> dict[int, tuple[BinaryEvenForm, ...]]:
-    """The reduced classes of each candidate discriminant, sorted by (a, b, c).
+def candidate_classes(candidates: list[tuple[int, int]]) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """The reduced classes of each candidate discriminant, as sorted
+    (a, b, c) tuples.
 
     Built once per run and shared by every stage that resolve_disc runs on.
     """
@@ -116,7 +119,7 @@ def candidate_classes(candidates: list[tuple[int, int]]) -> dict[int, tuple[Bina
 
 def resolve_disc(
     candidates: list[tuple[int, int]],
-    classes: dict[int, tuple[BinaryEvenForm, ...]],
+    classes: dict[int, tuple[tuple[int, int, int], ...]],
     facts: list[ExclusionFact],
     context: SurfaceConfig,
     rho: int,
@@ -124,18 +127,18 @@ def resolve_disc(
 ) -> DiscResolution:
     """Cross off candidates whose every isometry class is excluded.
 
-    `classes` maps each candidate discriminant to its reduced classes
-    (see candidate_classes).  A class-level fact kills one reduced form;
-    the denominator-bound fact kills a whole candidate.  The certificate
-    records the outcome for every candidate and, by position in its
-    class tuple, every excluded class.  More than one survivor is a valid
-    ambiguous state; none leaves `surviving` empty, an inconsistent fact
-    set that the pipeline reports as a contradiction.
+    `classes` maps each candidate discriminant to its reduced classes as
+    (a, b, c) tuples (see candidate_classes).  A class-level fact kills
+    one reduced form; the denominator-bound fact kills a whole candidate.
+    The certificate records the outcome for every candidate and, by
+    position in its class tuple, every excluded class.  More than one
+    survivor is a valid ambiguous state; none leaves `surviving` empty,
+    an inconsistent fact set that the pipeline reports as a contradiction.
     """
-    context_tokens, abc = context.fiber_tokens(), attrgetter("a", "b", "c")
+    context_tokens = context.fiber_tokens()
     # The first fact that applies here to each reduced form, found among
-    # its disc's classes by bisection; a fibration fact applies only to a
-    # surface with its fiber multiset.
+    # its disc's classes by bisection on (a, b, c); a fibration fact
+    # applies only to a surface with its fiber multiset.
     excluding: dict[int, dict[int, ExclusionFact]] = {disc: {} for _alpha, disc in candidates}
     for fact in facts:
         if fact.kind == "denominator_bound":
@@ -145,9 +148,9 @@ def resolve_disc(
         if hits is not None and (
             fact.kind == "not_isomorphic_to" or tuple(sorted(fact.fibers)) == context_tokens
         ):
-            forms = classes[form.disc]
-            i = bisect_left(forms, abc(form), key=abc)
-            if i < len(forms) and forms[i] == form:
+            forms, abc = classes[form.disc], (form.a, form.b, form.c)
+            i = bisect_left(forms, abc)
+            if i < len(forms) and forms[i] == abc:
                 hits.setdefault(i, fact)
     # The first denominator-bound fact applies the bound; a later one would repeat it.
     bound = next((fact for fact in facts if fact.kind == "denominator_bound"), None)

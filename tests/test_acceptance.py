@@ -159,7 +159,7 @@ def test_criterion_06_discriminant_resolution_end_to_end():
         assert [d for _a, d in candidates] == [3, 12, 48]
 
         classes = enumerate_even_posdef_binary(12)
-        assert [(f.a, f.b, f.c) for f in classes] == [(1, 0, 3), (2, 2, 2)]
+        assert classes == [(1, 0, 3), (2, 2, 2)]
 
         y2 = config(["I0*", "I0*", "IV", "IV*"])
         facts = [
@@ -256,7 +256,7 @@ def test_criterion_09_property_suites():
         for disc in range(1, 201):
             mine = enumerate_even_posdef_binary(disc)
             fingerprints = sorted(
-                oracles.theta_fingerprint(f.a, f.b, f.c, 2 * disc) for f in mine
+                oracles.theta_fingerprint(a, b, c, 2 * disc) for a, b, c in mine
             )
             assert fingerprints == oracles.binary_classes_by_theta(disc), disc
 

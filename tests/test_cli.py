@@ -234,6 +234,18 @@ class TestInProcess:
         assert out_path.read_text(encoding="utf-8") == stdout
         assert json.loads(stdout)["schema"] == "invcycle-report/1"
 
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    @pytest.mark.parametrize(
+        "flags", [["--out"], ["--json", "--out"], ["--json"]], ids=["out", "json-out", "json-path"]
+    )
+    def test_failed_report_write_prints_nothing(self, tmp_path, capsys, target, flags):
+        # The PATH files are written before stdout, so a failed write leaves
+        # one error line and nothing on stdout.
+        path = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
+        err = main_error(capsys, ["example", "1", *flags, str(path)])
+        assert str(path) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_over_class_limit_enumerates_nothing(self, tmp_path, capsys, monkeypatch):
         from invcycle import cli, transcendental
 
@@ -279,14 +291,14 @@ class TestInProcess:
         )
 
     def test_every_candidate_excluded_is_an_error(self, tmp_path, capsys):
-        from invcycle.jsonio import form_to_json
+        from invcycle.jsonio import binary_gram_to_json
         from invcycle.lattice import enumerate_even_posdef_binary
 
         def edit(entries):
             # The seed [[4, 2], [2, 4]] has disc 12: candidates 3, 12 and 48.
             for disc in (3, 12, 48):
-                for form in enumerate_even_posdef_binary(disc):
-                    fact = {"kind": "not_isomorphic_to", "form": form_to_json(form), "provenance": "p"}
+                for abc in enumerate_even_posdef_binary(disc):
+                    fact = {"kind": "not_isomorphic_to", "form": binary_gram_to_json(*abc), "provenance": "p"}
                     entries.append({"name": "exclusion_fact", "payload": fact, "provenance": "p"})
 
         err = main_error(capsys, ["custom", *example1_args(tmp_path, edit)])

@@ -443,6 +443,28 @@ DOCUMENTS = st.recursive(
 )
 
 
+@st.composite
+def matrices(draw):
+    """A 2x2 matrix of strings, the shape the encoder writes as one part,
+    or a near miss: another shape, a ragged row, an int or None entry, a
+    string row."""
+    rows, cols = draw(st.sampled_from([(2, 2), (2, 2), (2, 3), (3, 2), (1, 2), (2, 1)]))
+    matrix = [[draw(TEXT) for _ in range(cols)] for _ in range(rows)]
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    miss = draw(st.sampled_from(["none", "long row", "short row", "int", "null", "string row"]))
+    if miss == "long row":
+        matrix[i].append(draw(TEXT))
+    elif miss == "short row":
+        matrix[i].pop()
+    elif miss == "int":
+        matrix[i][j] = draw(st.integers())
+    elif miss == "null":
+        matrix[i][j] = None
+    elif miss == "string row":
+        matrix[i] = draw(TEXT)
+    return matrix
+
+
 class TestCanonicalDump:
     def test_sorted_and_newline_terminated(self):
         text = dumps_canonical({"b": 1, "a": [2, 1]})
@@ -461,7 +483,10 @@ class TestCanonicalDump:
 
     @pytest.mark.parametrize(
         "document",
-        [(1, 2), 1.5, {"a": [0.0]}, {1: "one"}, {"a": {None: 1}}, [{"b": ("x",)}], {"s": {"x"}}],
+        [
+            (1, 2), 1.5, {"a": [0.0]}, {1: "one"}, {"a": {None: 1}}, [{"b": ("x",)}], {"s": {"x"}},
+            [["1", 2.5], ["3", "4"]], [("1", "2"), ("3", "4")],
+        ],
     )
     def test_other_types_rejected(self, document):
         with pytest.raises(TypeError):
@@ -485,6 +510,22 @@ class TestCanonicalDump:
             "deeper": {"x": [{"y": shared}]},
             "outer": [outer, outer, {"o": outer}],
             "empty": [empty, empty, {"e": empty}],
+        }
+        for _ in range(depth):
+            document = [document, {"k": document}]
+        assert dumps_canonical(document) == stdlib_canonical(document)
+
+    @settings(max_examples=100, deadline=None)
+    @given(forms=st.lists(matrices(), min_size=1, max_size=4), depth=st.integers(0, 3))
+    def test_matrices_match_stdlib(self, forms, depth):
+        # Matrices and near misses alone, as class entries in a shared
+        # array of objects, and inside other shared arrays.
+        entries = [{"form": form} for form in forms]
+        document = {
+            "forms": forms,
+            "classes": entries,
+            "again": entries,
+            "nested": [[entries, forms], {"m": forms[0], "e": entries}, [forms, forms]],
         }
         for _ in range(depth):
             document = [document, {"k": document}]

@@ -235,10 +235,10 @@ class TestBinaryForms:
 
     def test_reduce_is_canonical_domain(self):
         for d in range(1, 80):
-            for form in enumerate_even_posdef_binary(d):
-                assert 0 <= form.b <= form.a <= form.c
-                again = reduce_binary(form)
-                assert again == form
+            for a, b, c in enumerate_even_posdef_binary(d):
+                assert 0 <= b <= a <= c
+                again = reduce_binary(BinaryEvenForm(a, b, c))
+                assert again == BinaryEvenForm(a, b, c)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -306,7 +306,7 @@ class TestEnumeration:
             64: [(1, 0, 16), (2, 0, 8), (4, 0, 4), (4, 4, 5)],
         }
         for d, expected in tbl.items():
-            got = [(f.a, f.b, f.c) for f in enumerate_even_posdef_binary(d)]
+            got = enumerate_even_posdef_binary(d)
             assert got == expected, d
 
     def test_empty_for_impossible_discs(self):
@@ -322,18 +322,18 @@ class TestEnumeration:
 
     def test_against_scan_every_disc_to_20000(self):
         for d in range(1, 20001):
-            got = [(f.a, f.b, f.c) for f in enumerate_even_posdef_binary(d)]
+            got = enumerate_even_posdef_binary(d)
             assert got == even_posdef_binary_scan(d), d
 
     @settings(max_examples=30, deadline=None)
     @given(_ENUM_DISCS)
     def test_against_scan_to_ten_million(self, disc):
-        got = [(f.a, f.b, f.c) for f in enumerate_even_posdef_binary(disc)]
+        got = enumerate_even_posdef_binary(disc)
         assert got == even_posdef_binary_scan(disc)
 
     def test_pinned_disc_1600000(self):
         # 16 * 10^5 = 2^9 * 5^5: many roots modulo powers of 2 and 5.
-        got = [(f.a, f.b, f.c) for f in enumerate_even_posdef_binary(16 * 10**5)]
+        got = enumerate_even_posdef_binary(16 * 10**5)
         assert got == even_posdef_binary_scan(16 * 10**5)
         assert len(got) == 486
         assert got[:3] == [(1, 0, 400000), (2, 0, 200000), (4, 0, 100000)]
@@ -369,7 +369,7 @@ class TestEnumeration:
             oracle = binary_classes_by_theta(d)
             mine = enumerate_even_posdef_binary(d)
             assert len(mine) == len(oracle), d
-            fingerprints = sorted(theta_fingerprint(f.a, f.b, f.c, 2 * d) for f in mine)
+            fingerprints = sorted(theta_fingerprint(a, b, c, 2 * d) for a, b, c in mine)
             assert fingerprints == oracle, d
 
 

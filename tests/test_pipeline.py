@@ -291,8 +291,8 @@ class TestTampering:
         config, branch, assumptions = docs("example1")
         # The seed [[4, 2], [2, 4]] has disc 12: candidates 3, 12 and 48.
         for disc in (3, 12, 48):
-            for form in lattice.enumerate_even_posdef_binary(disc):
-                fact = {"kind": "not_isomorphic_to", "form": jsonio.form_to_json(form), "provenance": "p"}
+            for abc in lattice.enumerate_even_posdef_binary(disc):
+                fact = {"kind": "not_isomorphic_to", "form": jsonio.binary_gram_to_json(*abc), "provenance": "p"}
                 assumptions["assumptions"].append(
                     {"name": "exclusion_fact", "payload": fact, "provenance": "p"}
                 )
@@ -572,9 +572,10 @@ class TestParseBoundary:
 
 
 class TestRenderingBuildsNoLattice:
-    """Each class form in a resolution certificate is rendered from its
-    coefficients, so the number of Gram lattices a run builds does not
-    grow with the number of classes it lists."""
+    """Each class in a resolution certificate is enumerated and rendered
+    as its (a, b, c) coefficients, so the number of Gram lattices and of
+    binary forms a run builds does not grow with the number of classes it
+    lists."""
 
     @staticmethod
     def spec(c):
@@ -602,23 +603,31 @@ class TestRenderingBuildsNoLattice:
 
     def test_constructions_do_not_grow_with_the_class_count(self, monkeypatch):
         built = []
-        original = lattice.GramLattice.__init__
+        build_lattice = lattice.GramLattice.__init__
+        build_form = lattice.BinaryEvenForm.__init__
 
-        def counted(self, rows):
-            built.append(1)
-            original(self, rows)
+        def lattice_counted(self, rows):
+            built.append("lattice")
+            build_lattice(self, rows)
+
+        def form_counted(self, *values):
+            built.append("form")
+            build_form(self, *values)
 
         runs = {}
         for c in (1, 1000):
             spec = self.spec(c)
             built.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(lattice.GramLattice, "__init__", counted)
+                patch.setattr(lattice.GramLattice, "__init__", lattice_counted)
+                patch.setattr(lattice.BinaryEvenForm, "__init__", form_counted)
                 report = run_pipeline(spec)
-            runs[c] = (self.class_count(report), len(built))
-        (few, small_built), (many, large_built) = runs[1], runs[1000]
+                report_to_json(report)
+            runs[c] = (self.class_count(report), built.count("lattice"), built.count("form"))
+        (few, *small_built), (many, *large_built) = runs[1], runs[1000]
         assert many > 10 * few
         assert large_built == small_built, runs
+        assert all(small_built), runs
 
 
 def generated_certificate(seed, disc):

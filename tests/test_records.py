@@ -209,7 +209,7 @@ def pipeline_records():
     bc = quadratic_base_change(SEED, BRANCH)
     fact = ExclusionFact("not_isomorphic_to", A2, None, "p")
     verdict = ClassVerdict(A2, "p", "not_isomorphic_to")
-    candidate = CandidateVerdict(0, 3, True, None, (A2,), {0: fact})
+    candidate = CandidateVerdict(0, 3, True, None, ((1, 1, 1),), {0: fact})
     rigid = rigidity_transfer(A2)
     check = check_disc_consistency(SEED, 12, 20, 1)
     return [
@@ -222,7 +222,7 @@ def pipeline_records():
         (bc, quadratic_base_change(SEED, BranchSpec(frozenset({"0", "2"})))),
         (fact, ExclusionFact("not_isomorphic_to", A2, None, "q")),
         (verdict, ClassVerdict(A2, None, None)),
-        (candidate, CandidateVerdict(0, 3, False, None, (A2,), {})),
+        (candidate, CandidateVerdict(0, 3, False, None, ((1, 1, 1),), {})),
         (DiscResolution((candidate,), ()), DiscResolution((candidate,), ((0, 3),))),
         (rigid.checks[0], rigid.checks[1]),
         (rigid, rigidity_transfer(BinaryEvenForm(2, 0, 2))),
@@ -334,19 +334,19 @@ FACT = ExclusionFact("not_isomorphic_to", A2, None, "p")
 
 
 def test_disc_resolution_properties():
-    live = CandidateVerdict(1, 12, False, None, (A2,), {})
-    dead = CandidateVerdict(0, 3, True, None, (A2,), {0: FACT})
+    live = CandidateVerdict(1, 12, False, None, ((1, 1, 1),), {})
+    dead = CandidateVerdict(0, 3, True, None, ((1, 1, 1),), {0: FACT})
     resolved = DiscResolution((dead, live), ((1, 12),))
     assert (resolved.resolved, resolved.resolved_disc, resolved.alpha) == (True, 12, 1)
     assert resolved.surviving_form == A2
-    two = CandidateVerdict(2, 48, False, None, (BinaryEvenForm(1, 0, 12),), {})
+    two = CandidateVerdict(2, 48, False, None, ((1, 0, 12),), {})
     ambiguous = DiscResolution((live, two), ((1, 12), (2, 48)))
     assert (ambiguous.resolved, ambiguous.resolved_disc, ambiguous.alpha) == (False, None, None)
     assert ambiguous.surviving_form is None
 
 
 def test_surviving_form_counts_the_live_classes():
-    forms = (BinaryEvenForm(1, 0, 3), BinaryEvenForm(2, 2, 2))
+    forms = ((1, 0, 3), (2, 2, 2))
     one_left = CandidateVerdict(1, 12, False, None, forms, {0: FACT})
     assert DiscResolution((one_left,), ((1, 12),)).surviving_form == BinaryEvenForm(2, 2, 2)
     two_left = CandidateVerdict(1, 12, False, None, forms, {})
@@ -354,7 +354,7 @@ def test_surviving_form_counts_the_live_classes():
 
 
 def test_candidate_classes_are_built_on_demand():
-    forms = (BinaryEvenForm(1, 0, 3), BinaryEvenForm(2, 2, 2))
+    forms = ((1, 0, 3), (2, 2, 2))
     candidate = CandidateVerdict(1, 12, False, None, forms, {1: FACT})
     assert candidate.classes == (
         ClassVerdict(BinaryEvenForm(1, 0, 3), None, None),
