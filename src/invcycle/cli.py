@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .jsonio import (
     InputError,
-    PipelineError,
     _digit_limit_error,
     binary_gram_to_json,
     dumps_canonical,
@@ -67,11 +66,22 @@ def _emit_report(run, args) -> int:
 
     # Only a custom ledger can hold numbers past the limit.
     report, encoded, shown = _printable("--assumptions", "report", build)
-    # The files first: a failed write exits 1 with nothing on stdout.
-    if isinstance(args.json, str):
-        Path(args.json).write_text(encoded, encoding="utf-8")
+    # The files first, with the bytes made before any is opened: a failed
+    # write removes the files written so far and exits 1 with nothing on stdout.
+    paths = [Path(args.json)] if isinstance(args.json, str) else []
     if args.out:
-        Path(args.out).write_text(encoded, encoding="utf-8")
+        paths.append(Path(args.out))
+    data = encoded.encode("utf-8") if paths else b""
+    written: list[Path] = []
+    try:
+        for path in paths:
+            with path.open("wb") as f:
+                written.append(path)
+                f.write(data)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     sys.stdout.write(shown)
     return report_exit_code(report, strict=args.strict)
 
@@ -280,7 +290,7 @@ def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except (ValueError, OSError, PipelineError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

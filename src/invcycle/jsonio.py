@@ -3,11 +3,13 @@
 Gram matrix entries travel as decimal integer strings; integers are
 accepted on input.  Either way their size is bounded by Python's int/str
 conversion limit (sys.get_int_max_str_digits(), 4300 digits by default),
-which also bounds every number in the output.  Parse errors carry the
-position, schema errors carry the offending field.  Every Gram from
-outside passes `parse_gram`, the one place its shape is checked, and
-every binary form from outside passes `parse_form`; the records only
-store, and each is checked here, where a document builds it.
+which also bounds every number in the output.  A refused document is an
+`InputError`: a `ParseError` names the position, or the byte offset in a
+file that is not UTF-8; a `SchemaError` names the field, also for a string
+holding a lone surrogate.  Every Gram from outside passes `parse_gram`,
+the one place its shape is checked, and every binary form from outside
+passes `parse_form`; the records only store, and each is checked here,
+where a document builds it.
 
 `surfaces` and `transcendental` are imported inside the parse functions
 that build their types, so the lattice and fiber commands never load them.
@@ -41,10 +43,6 @@ class SchemaError(InputError):
     """The document does not match the expected shape; names the field."""
 
 
-class PipelineError(RuntimeError):
-    """The pipeline cannot run on this input."""
-
-
 def _digit_limit_error(where: str, exc: ValueError) -> ParseError:
     """int() and json.loads refuse integers past the int/str conversion
     limit; keep the limit from the message, drop the advice to raise it."""
@@ -64,7 +62,20 @@ def loads_json(text: str, source: str) -> Any:
 
 
 def load_json(path: str | Path) -> Any:
-    return loads_json(Path(path).read_text(encoding="utf-8"), str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 at byte offset {exc.start}: {exc.reason}") from None
+    return loads_json(text, str(path))
+
+
+def _valid_text(value: str, where: str) -> str:
+    """value, refused if a JSON escape such as \\ud800 left a lone surrogate in it."""
+    if not value.isascii():
+        for ch in value:
+            if "\ud800" <= ch <= "\udfff":
+                raise SchemaError(f"{where}: {ch!r} is a lone surrogate, not a Unicode character")
+    return value
 
 
 def _require(obj: Any, field: str, kind: type, where: str) -> Any:
@@ -77,7 +88,7 @@ def _require(obj: Any, field: str, kind: type, where: str) -> Any:
         raise SchemaError(f"{where}.{field}: expected an integer")
     if not isinstance(value, kind):
         raise SchemaError(f"{where}.{field}: expected {kind.__name__}")
-    return value
+    return _valid_text(value, f"{where}.{field}") if kind is str else value
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -207,6 +218,7 @@ def parse_branch_spec(obj: Any, where: str = "branch") -> BranchSpec:
             raise SchemaError(f"{where}.branch[{i}]: expected a string label")
         if not label:
             raise SchemaError(f"{where}.branch[{i}]: must be nonempty")
+        _valid_text(label, f"{where}.branch[{i}]")
     if len(set(labels)) != len(labels):
         raise SchemaError(f"{where}.branch: labels must be distinct")
     if len(labels) % 2:

@@ -18,10 +18,6 @@ from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 
-class NotPerfectSquareRatioError(ValueError):
-    """A discriminant ratio is not the square of a positive integer."""
-
-
 class FrozenRecord:
     """Immutable record over __slots__, as @dataclass(frozen=True) makes one.
 
@@ -431,19 +427,16 @@ def enumerate_even_posdef_binary(disc: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def sublattice_index_from_discs(d_sub: int, d_sup: int) -> int:
+def sublattice_index_from_discs(d_sub: int, d_sup: int) -> int | None:
     """Index of a finite-index sublattice from the two discriminants.
 
-    d_sub = index^2 * d_sup, so the ratio must be the square of a
-    positive integer.  Both are discs of positive-definite forms.
+    d_sub = index^2 * d_sup, so the index is the square root of the ratio,
+    or None when that is no integer's square.  Both are discs of
+    positive-definite forms.
     """
-    if d_sub % d_sup != 0:
-        raise NotPerfectSquareRatioError(f"{d_sup} does not divide {d_sub}")
-    ratio = d_sub // d_sup
+    ratio, rest = divmod(d_sub, d_sup)
     root = math.isqrt(ratio)
-    if root * root != ratio:
-        raise NotPerfectSquareRatioError(f"ratio {ratio} is not a perfect square")
-    return root
+    return root if rest == 0 and root * root == ratio else None
 
 
 # Largest m^(rank - 1) that enumerate_even_overlattices is run on for

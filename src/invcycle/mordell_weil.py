@@ -15,10 +15,6 @@ from .lattice import FrozenRecord
 from .surfaces import SurfaceConfig
 
 
-class PicardTooSmallError(ValueError):
-    """rho is smaller than the rank of the trivial lattice."""
-
-
 class ShiodaTateResult(FrozenRecord):
     """trivial_rank is 2 + the sum over fibers of (components - 1);
     trivial_disc is the product of |det| of the fiber root lattices."""
@@ -39,18 +35,9 @@ def _trivial_summands(config: SurfaceConfig) -> tuple[int, int, int]:
     return rank, disc, d
 
 
-def _rank_over(trivial_rank: int, rho: int) -> int:
-    r = rho - trivial_rank
-    if r < 0:
-        raise PicardTooSmallError(
-            f"rho = {rho} is below the trivial-lattice rank {trivial_rank}"
-        )
-    return r
-
-
 def shioda_tate(config: SurfaceConfig, rho: int) -> ShiodaTateResult:
     trivial_rank, trivial_disc, _ = _trivial_summands(config)
-    return ShiodaTateResult(rho, trivial_rank, _rank_over(trivial_rank, rho), trivial_disc)
+    return ShiodaTateResult(rho, trivial_rank, rho - trivial_rank, trivial_disc)
 
 
 class DiscConsistency(FrozenRecord):
@@ -66,9 +53,10 @@ def check_disc_consistency(
     determinants), in lowest terms.  Its denominator must divide D^r,
     where D is the lcm of the local height contribution denominators over
     all fibers; a rank-0 Mordell-Weil group forces disc(MWL) = 1 exactly.
+    The caller keeps rho at or above the rank of the trivial lattice.
     """
     trivial_rank, trivial_disc, d = _trivial_summands(config)
-    r = _rank_over(trivial_rank, rho)
+    r = rho - trivial_rank
     disc = Fraction(candidate_disc * torsion_order * torsion_order, trivial_disc)
     bound = d**r
     reason = None

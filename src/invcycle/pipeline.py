@@ -27,7 +27,7 @@ from .jsonio import (
     FLAG_ASSUMPTIONS,
     SEED_STAGE,
     Assumption,
-    PipelineError,
+    InputError,
     SchemaError,
     binary_gram_to_json,
     dumps_canonical,
@@ -40,13 +40,12 @@ from .jsonio import (
     surface_config_to_json,
 )
 from .kodaira import is_star
-from .lattice import FrozenRecord, NotPerfectSquareRatioError
-from .mordell_weil import PicardTooSmallError, check_disc_consistency, shioda_tate
+from .lattice import FrozenRecord
+from .mordell_weil import check_disc_consistency, shioda_tate
 from .surfaces import (
     BaseChangeResult,
     BranchSpec,
     SurfaceConfig,
-    SurfaceError,
     SurfaceInvariants,
     invariants,
     quadratic_base_change,
@@ -63,7 +62,7 @@ from .transcendental import (
     specialization_index,
 )
 
-class PipelineContradictionError(PipelineError):
+class PipelineContradictionError(InputError):
     """A certified stage failed an exact consistency check."""
 
 
@@ -195,10 +194,10 @@ def _surface_record(
         "invariants": _invariants_json(inv),
     }
     if "picard_maximal" in spec.flags:
-        try:
-            st = shioda_tate(config, inv.h11)
-        except PicardTooSmallError as exc:  # the fibers' trivial lattice outranks rho = h11
-            raise SchemaError(f"config.fibers: stage {name}: {exc}") from None
+        st = shioda_tate(config, inv.h11)
+        if st.mw_rank < 0:  # the fibers' trivial lattice outranks rho = h11
+            raise SchemaError(f"config.fibers: stage {name}: rho = {st.rho} is below the "
+                              f"trivial-lattice rank {st.trivial_rank}")
         record["shioda_tate"] = {
             "rho": tagged(st.rho, "assumed"),
             "trivial_rank": tagged(st.trivial_rank, "derived"),
@@ -479,9 +478,8 @@ def _specialization_stage(run: _Run) -> None:
         discs, source = run.pinned[name]
         indices, incompatible = [], []
         for disc in sorted(set(discs)):
-            try:
-                result = specialization_index(disc, run.nearby_disc)
-            except NotPerfectSquareRatioError:
+            result = specialization_index(disc, run.nearby_disc)
+            if result is None:
                 incompatible.append(disc)
                 continue
             indices.append({"central_disc": tagged(disc, "derived"),
@@ -524,17 +522,12 @@ _STAGES_WITHOUT_SEED_LATTICE = (_seed_stage, _covering_stages, _no_seed_lattice,
 
 
 def run_pipeline(spec: PipelineSpec) -> dict:
-    try:
-        seed_inv = invariants(spec.seed)
-    except SurfaceError as exc:
-        raise SchemaError(f"config.fibers: {exc}") from None
+    seed_inv = invariants(spec.seed)
     if seed_inv.kind != "K3" or seed_inv.e != 24:
         # With e = 24, only a base genus other than 0 keeps the seed from K3.
         field = "config.fibers" if seed_inv.e != 24 else "config.base_genus"
-        raise PipelineError(
-            f"{field}: seed configuration must be a K3 fibration with e = 24; "
-            f"got kind {seed_inv.kind!r} with e = {seed_inv.e}"
-        )
+        raise SchemaError(f"{field}: seed configuration must be a K3 fibration with e = 24; "
+                          f"got kind {seed_inv.kind!r} with e = {seed_inv.e}")
     run = _Run(spec, seed_inv)
     for stage in _STAGES if spec.seed_lattice is not None else _STAGES_WITHOUT_SEED_LATTICE:
         stage(run)

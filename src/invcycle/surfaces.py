@@ -46,10 +46,11 @@ class SurfaceInvariants(FrozenRecord):
 
 
 def invariants(config: SurfaceConfig) -> SurfaceInvariants:
-    """Numerical invariants from the Euler number and the base genus."""
+    """Numerical invariants from the Euler number and the base genus.  Only
+    a seed can fail 12 | e: a cover of an e = 24 seed has e = 48 - 12 delta."""
     e = config.euler_total()
     if e % 12 != 0:
-        raise SurfaceError(f"total Euler number {e} is not divisible by 12")
+        raise SurfaceError(f"config.fibers: total Euler number {e} is not divisible by 12")
     d = e // 12
     g = config.base_genus
     p_g = d + g - 1

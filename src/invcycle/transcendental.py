@@ -281,12 +281,14 @@ class SpecializationResult(FrozenRecord):
     __slots__ = ("index", "verdict")
 
 
-def specialization_index(disc_central: int, disc_nearby: int) -> SpecializationResult:
+def specialization_index(disc_central: int, disc_nearby: int) -> SpecializationResult | None:
     """Index of the specialized lattice inside the nearby one.
 
     An index above 1 certifies that integral invariant cycles fail to
     lift: the verdict is VERDICT_FAILS.  Index 1 leaves lifting possible.
+    None when disc_central / disc_nearby is not the square of an integer:
+    no finite-index embedding relates the two lattices.
     """
     index = sublattice_index_from_discs(disc_central, disc_nearby)
-    verdict = VERDICT_FAILS if index > 1 else VERDICT_HOLDS_POSSIBLE
-    return SpecializationResult(index, verdict)
+    if index is not None:
+        return SpecializationResult(index, VERDICT_FAILS if index > 1 else VERDICT_HOLDS_POSSIBLE)

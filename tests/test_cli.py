@@ -236,12 +236,14 @@ class TestInProcess:
 
     @pytest.mark.parametrize("target", ["missing directory", "directory"])
     @pytest.mark.parametrize(
-        "flags", [["--out"], ["--json", "--out"], ["--json"]], ids=["out", "json-out", "json-path"]
+        "flags", [["--out"], ["--json", "--out"], ["--json"], ["--json", "a.json", "--out"]],
+        ids=["out", "json-out", "json-path", "json-path-out"],
     )
     def test_failed_report_write_prints_nothing(self, tmp_path, capsys, target, flags):
-        # The PATH files are written before stdout, so a failed write leaves
-        # one error line and nothing on stdout.
+        # The PATH files are written before stdout, and a failed write removes
+        # those this run wrote: it leaves one error line, no stdout and no file.
         path = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
+        flags = [str(tmp_path / flag) if flag.endswith(".json") else flag for flag in flags]
         err = main_error(capsys, ["example", "1", *flags, str(path)])
         assert str(path) in err
         assert list(tmp_path.iterdir()) == []
@@ -568,6 +570,54 @@ class TestNonAsciiDigits:
         assert err == "error: assumptions[3].payload.gram[1][1]: '\u0664' is not a decimal integer string\n"
 
 
+class TestTextEncoding:
+    """Input files are UTF-8 and their strings Unicode text.  A file that is
+    not UTF-8 is an error naming it and the byte offset; a string holding a
+    lone surrogate, as the JSON escape \\ud800 gives, is an error naming
+    its field, refused before any output is written."""
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("custom", "--config"), ("custom", "--branch"), ("custom", "--assumptions"), ("basechange", "--config")],
+    )
+    def test_non_utf8_file_names_path_and_offset(self, tmp_path, capsys, command, option):
+        args = list(example1_args(tmp_path, lambda entries: None))
+        if command == "basechange":
+            args = args[:4]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        args[args.index(option) + 1] = str(bad)
+        err = main_error(capsys, [command, *args])
+        assert err == f"error: {bad}: invalid UTF-8 at byte offset 10: invalid start byte\n"
+
+    @pytest.mark.parametrize(
+        "option, path, field",
+        [
+            ("--config", ["name"], "config.name"),
+            ("--config", ["fibers", 0, "label"], "config.fibers[0].label"),
+            ("--branch", ["branch", 0], "branch.branch[0]"),
+            ("--assumptions", ["assumptions", 0, "provenance"], "assumptions[0].provenance"),
+            ("--assumptions", ["assumptions", 11, "payload", "provenance"], "assumptions[11].payload.provenance"),
+        ],
+        ids=["config-name", "fiber-label", "branch-label", "provenance", "fact-provenance"],
+    )
+    def test_lone_surrogate_names_the_field(self, tmp_path, capsys, option, path, field):
+        args = list(example1_args(tmp_path, lambda entries: None))
+        document = Path(args[args.index(option) + 1])
+        doc = json.loads(document.read_text(encoding="utf-8"))
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = "x\ud800"
+        document.write_text(json.dumps(doc), encoding="utf-8")  # as the escape \ud800
+        line = f"error: {field}: '\\ud800' is a lone surrogate, not a Unicode character\n"
+        out = tmp_path / "out.json"
+        assert main_error(capsys, ["custom", *args, "--json", "--out", str(out)]) == line
+        assert not out.exists()
+        if option != "--assumptions":
+            assert main_error(capsys, ["basechange", *args[:4]]) == line
+
+
 class TestFiberCommand:
     def test_i5(self):
         proc = run_cli("fiber", "info", "I5")
@@ -822,6 +872,11 @@ class TestConfigAndBranchErrors:
                 "config.fibers: stage X: rho = 20 is below the trivial-lattice rank 25",
             ),
             (
+                # The seed passes; the family stage's fibers I6*, I0*, I0* outrank rho = 12.
+                ("custom",), [("0", "I6*"), ("1", "I0*"), ("2", "I0*")], 0, ["0", "1", "2", "3"], True,
+                "config.fibers: stage S_t: rho = 12 is below the trivial-lattice rank 13",
+            ),
+            (
                 ("basechange", "custom"), [("a", "I24")], 0, [], False,
                 "branch.branch: a double cover of a genus-0 base needs at least two branch points",
             ),
@@ -845,7 +900,7 @@ class TestConfigAndBranchErrors:
             ),
         ],
         ids=["label-collision", "duplicate-label", "label-collision-at-Y0", "rho-below-trivial-rank",
-             "genus-0-empty-branch", "euler-13", "rational-seed", "genus-1-seed", "negative-genus"],
+             "rho-below-trivial-rank-at-S_t", "genus-0-empty-branch", "euler-13", "rational-seed", "genus-1-seed", "negative-genus"],
     )
     def test_error_names_the_field(self, tmp_path, capsys, commands, fibers, genus, branch, picard, line):
         argv = write_documents(tmp_path, fibers, genus, branch, picard)

@@ -84,9 +84,22 @@ def test_package_import_loads_no_submodule():
     assert {m for m in loaded_by() if m.split(".")[0] == "invcycle"} == {"invcycle"}
 
 
-def test_pipeline_errors_are_the_class_cli_catches():
-    from invcycle import cli, jsonio, pipeline
+def test_every_error_class_is_a_value_error():
+    """cli.main turns a ValueError into one `error:` line and exit 1, so
+    every exception class the package defines must be one."""
+    import importlib
+    import pkgutil
 
-    assert pipeline.PipelineError is jsonio.PipelineError
-    assert issubclass(pipeline.PipelineContradictionError, jsonio.PipelineError)
-    assert cli.PipelineError is jsonio.PipelineError
+    import invcycle
+
+    defined = []
+    for info in pkgutil.iter_modules(invcycle.__path__):
+        if info.name != "__main__":  # running it would run the CLI
+            module = importlib.import_module(f"invcycle.{info.name}")
+            defined += [
+                obj for obj in vars(module).values()
+                if isinstance(obj, type) and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__
+            ]
+    assert defined
+    assert [cls for cls in defined if not issubclass(cls, ValueError)] == []

@@ -16,7 +16,6 @@ from invcycle.jsonio import SchemaError, parse_branch_spec, parse_surface_config
 from invcycle.kodaira import euler_number, fiber
 from invcycle.pipeline import (
     PipelineContradictionError,
-    PipelineError,
     _Run,
     _specialization_stage,
     build_pipeline_spec,
@@ -388,7 +387,7 @@ class TestGatesAndErrors:
             fibers=(("0", fiber("II*")), ("1", fiber("II"))),
         )
         spec = build_pipeline_spec(config, BranchSpec(frozenset({"0", "1"})), ())
-        with pytest.raises(PipelineError):
+        with pytest.raises(SchemaError):
             run_pipeline(spec)
 
     def test_unknown_example_id(self):
