@@ -56,6 +56,9 @@ def _write_answer(source: str, build) -> int:
 
 
 def _emit_report(run, args) -> int:
+    for option, path in (("--json", args.json), ("--out", args.out)):
+        if path == "":  # names no file; refused before the pipeline runs
+            raise InputError(f"{option}: PATH must not be empty")
     from .pipeline import render_text, report_exit_code, report_to_json
 
     def build():

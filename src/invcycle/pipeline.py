@@ -41,7 +41,7 @@ from .jsonio import (
 )
 from .kodaira import is_star
 from .lattice import FrozenRecord
-from .mordell_weil import check_disc_consistency, shioda_tate
+from .mordell_weil import ShiodaTateResult, check_disc_consistency, shioda_tate
 from .surfaces import (
     BaseChangeResult,
     BranchSpec,
@@ -126,13 +126,15 @@ class _Run:
     `surfaces` maps each covering stage that ran to its configuration and
     invariants; the seed X is not among them.  `pinned` maps a stage to its
     central discriminants and where they come from.  `nearby_disc` is known
-    once a rigid quotient lattice fixes it.
+    once a rigid quotient lattice fixes it.  `accounting` maps X, then each
+    covering stage, to its Shioda-Tate record when rho is assumed maximal.
     """
 
     def __init__(self, spec: PipelineSpec, seed_inv: SurfaceInvariants) -> None:
         self.spec = spec
         self.seed_inv = seed_inv
         self.surfaces: dict[str, tuple[SurfaceConfig, SurfaceInvariants]] = {}
+        self.accounting: dict[str, ShiodaTateResult] = {}
         self.candidates: list[tuple[int, int]] = []
         self.pinned: dict[str, tuple[list[int], str]] = {}
         self.nearby_disc: int | None = None
@@ -183,18 +185,16 @@ def _base_change_json(bc: BaseChangeResult) -> dict:
     return out
 
 
-def _surface_record(
-    spec: PipelineSpec, name: str, config: SurfaceConfig, inv: SurfaceInvariants
-) -> dict:
+def _surface_record(run: _Run, name: str, config: SurfaceConfig, inv: SurfaceInvariants) -> dict:
     """A surface's name, configuration and invariants, and its Shioda-Tate
-    accounting when the Picard number is assumed maximal."""
+    accounting (kept in run.accounting) when the Picard number is assumed maximal."""
     record: dict[str, Any] = {
         "name": name,
         "config": surface_config_to_json(config),
         "invariants": _invariants_json(inv),
     }
-    if "picard_maximal" in spec.flags:
-        st = shioda_tate(config, inv.h11)
+    if "picard_maximal" in run.spec.flags:
+        st = run.accounting[name] = shioda_tate(config, inv.h11)
         if st.mw_rank < 0:  # the fibers' trivial lattice outranks rho = h11
             raise SchemaError(f"config.fibers: stage {name}: rho = {st.rho} is below the "
                               f"trivial-lattice rank {st.trivial_rank}")
@@ -265,7 +265,7 @@ def _rigidity_json(cert: RigidityCertificate) -> dict:
 
 def _seed_stage(run: _Run) -> None:
     spec = run.spec
-    run.seed = _surface_record(spec, SEED_STAGE, spec.seed, run.seed_inv)
+    run.seed = _surface_record(run, SEED_STAGE, spec.seed, run.seed_inv)
     if "shioda_tate" not in run.seed:
         run.note("no Picard-number assumption: Shioda-Tate accounting skipped")
     if spec.seed_lattice is not None:
@@ -288,7 +288,7 @@ def _covering_stages(run: _Run) -> None:
             continue
         bc = quadratic_base_change(spec.seed, branch, name=f"{spec.seed.name}/{name}")
         inv = invariants(bc.config)
-        record = _surface_record(spec, name, bc.config, inv)
+        record = _surface_record(run, name, bc.config, inv)
         record["branch"] = list(branch.sorted_labels())
         record["base_change"] = _base_change_json(bc)
         if name == FAMILY_STAGE:
@@ -401,9 +401,8 @@ def _resolution_stage(run: _Run) -> None:
         torsion = spec.torsion.get(name)
         if classes is None:
             classes = candidate_classes(candidates)
-        resolution = resolve_disc(
-            candidates, classes, spec.facts, config, inv.h11, torsion.value if torsion else None
-        )
+        resolution = resolve_disc(candidates, classes, spec.facts, config, run.accounting[name],
+                                  torsion.value if torsion else None)
         if not resolution.surviving:
             raise PipelineContradictionError(
                 f"assumptions: stage {name}: every discriminant candidate was excluded"
@@ -423,10 +422,8 @@ def _resolution_stage(run: _Run) -> None:
 def _height_checks(run: _Run) -> None:
     """Height-denominator cross-checks of the central discriminants, stage by stage."""
     spec = run.spec
-    if "picard_maximal" not in spec.flags:
-        return
     checks = []
-    for name, (config, inv) in {SEED_STAGE: (spec.seed, run.seed_inv), **run.surfaces}.items():
+    for name, st in run.accounting.items():
         if name not in run.pinned:
             continue
         torsion = spec.torsion.get(name)
@@ -437,14 +434,14 @@ def _height_checks(run: _Run) -> None:
         # A resolved stage reports the bound on every candidate, excluded ones too.
         pool = [d for _a, d in run.candidates] if source == "resolution" else discs
         for disc in pool:
-            check = check_disc_consistency(config, disc, inv.h11, torsion.value)
+            check = check_disc_consistency(st, disc, torsion.value)
             entry = {
                 "stage": name,
                 "candidate_disc": tagged(disc, "derived"),
                 "certified": disc in discs,
                 "torsion_order": tagged(torsion.value, "assumed"),
                 "torsion_provenance": torsion.provenance,
-                "mw_rank": tagged(check.mw_rank, "derived"),
+                "mw_rank": tagged(st.mw_rank, "derived"),
                 "mwl_disc": tagged(str(check.mwl_disc), "derived"),
                 "denominator_bound": tagged(check.denominator_bound, "derived"),
                 "consistent": check.consistent,

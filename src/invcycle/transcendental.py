@@ -22,7 +22,7 @@ from .lattice import (
     reduce_binary,
     sublattice_index_from_discs,
 )
-from .mordell_weil import check_disc_consistency
+from .mordell_weil import ShiodaTateResult, check_disc_consistency
 from .surfaces import SurfaceConfig
 
 VERDICT_FAILS = "LICT_fails"
@@ -122,14 +122,15 @@ def resolve_disc(
     classes: dict[int, tuple[tuple[int, int, int], ...]],
     facts: list[ExclusionFact],
     context: SurfaceConfig,
-    rho: int,
+    st: ShiodaTateResult,
     torsion_order: int | None,
 ) -> DiscResolution:
     """Cross off candidates whose every isometry class is excluded.
 
     `classes` maps each candidate discriminant to its reduced classes as
     (a, b, c) tuples (see candidate_classes).  A class-level fact kills
-    one reduced form; the denominator-bound fact kills a whole candidate.
+    one reduced form; the denominator-bound fact kills a whole candidate by
+    `st`, the Shioda-Tate record of the stage whose fibers `context` holds.
     The certificate records the outcome for every candidate and, by
     position in its class tuple, every excluded class.  More than one
     survivor is a valid ambiguous state; none leaves `surviving` empty,
@@ -161,7 +162,7 @@ def resolve_disc(
         reason = None if forms else "no even positive-definite binary form has this discriminant"
         # Without a torsion assumption the bound cannot be applied.
         if reason is None and bound is not None and torsion_order is not None:
-            check = check_disc_consistency(context, disc, rho, torsion_order)
+            check = check_disc_consistency(st, disc, torsion_order)
             if not check.consistent:
                 reason = f"{check.reason} [{bound.provenance}]"
         excluded = reason is not None or len(hits) == len(forms)

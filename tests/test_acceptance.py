@@ -188,15 +188,16 @@ def test_criterion_06_discriminant_resolution_end_to_end():
                 provenance="height pairing bound",
             ),
         ]
+        st = shioda_tate(y2, 20)
         resolution = resolve_disc(
-            candidates, candidate_classes(candidates), facts, y2, rho=20, torsion_order=1
+            candidates, candidate_classes(candidates), facts, y2, st=st, torsion_order=1
         )
         assert resolution.resolved
         assert resolution.resolved_disc == 48
 
-        assert check_disc_consistency(y2, 48, 20, 1).mwl_disc == Fraction(1, 3)
+        assert check_disc_consistency(st, 48, 1).mwl_disc == Fraction(1, 3)
 
-        bound_check = check_disc_consistency(y2, 3, 20, 1)
+        bound_check = check_disc_consistency(st, 3, 1)
         assert not bound_check.consistent
         assert bound_check.mwl_disc == Fraction(1, 48)
         assert bound_check.denominator_bound == 36

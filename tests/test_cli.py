@@ -248,6 +248,20 @@ class TestInProcess:
         assert str(path) in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option", ["--json", "--out"])
+    def test_empty_report_path_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch, option):
+        from invcycle import pipeline
+
+        def forbidden(number):
+            raise AssertionError(f"example {number} ran")
+
+        # The handler imports run_example when it runs, so it sees the patch.
+        monkeypatch.setattr(pipeline, "run_example", forbidden)
+        monkeypatch.chdir(tmp_path)
+        err = main_error(capsys, ["example", "1", option, ""])
+        assert err == f"error: {option}: PATH must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_over_class_limit_enumerates_nothing(self, tmp_path, capsys, monkeypatch):
         from invcycle import cli, transcendental
 

@@ -57,7 +57,7 @@ class TestShiodaTate:
 
 
 def mwl_disc(cfg, disc_ns, rho, torsion_order):
-    return check_disc_consistency(cfg, disc_ns, rho, torsion_order).mwl_disc
+    return check_disc_consistency(shioda_tate(cfg, rho), disc_ns, torsion_order).mwl_disc
 
 
 class TestMwlDiscriminant:
@@ -84,7 +84,7 @@ def denominator_bound(cfg, r):
     """D^r, read off at rho = trivial rank + r; the candidate disc and the
     torsion order do not enter it."""
     rho = shioda_tate(cfg, 20).trivial_rank + r
-    return check_disc_consistency(cfg, 1, rho, 1).denominator_bound
+    return check_disc_consistency(shioda_tate(cfg, rho), 1, 1).denominator_bound
 
 
 class TestDenominatorBound:
@@ -109,24 +109,28 @@ class TestDenominatorBound:
         assert denominator_bound(cfg, 3) == 27000
 
 
+def check(cfg, candidate_disc, rho, torsion_order):
+    return check_disc_consistency(shioda_tate(cfg, rho), candidate_disc, torsion_order)
+
+
 class TestDiscConsistency:
     def test_rank0_accepts_matching_disc(self):
-        result = check_disc_consistency(EX1_Y0, 3, 20, 1)
+        assert shioda_tate(EX1_Y0, 20).mw_rank == 0
+        result = check(EX1_Y0, 3, 20, 1)
         assert result.consistent
-        assert result.mw_rank == 0
         assert result.mwl_disc == 1
         assert result.denominator_bound == 1
         assert result.reason is None
 
     def test_rank0_rejects_other_disc(self):
-        result = check_disc_consistency(EX1_Y0, 12, 20, 1)
+        result = check(EX1_Y0, 12, 20, 1)
         assert not result.consistent
         assert result.mwl_disc == 4
         assert "discriminant 1" in result.reason
 
     def test_height_bound_excludes_small_disc(self):
         # Candidate 3 on the rank-2 stage: disc(MWL) = 1/48, bound 36.
-        result = check_disc_consistency(EX1_Y2, 3, 20, 1)
+        result = check(EX1_Y2, 3, 20, 1)
         assert not result.consistent
         assert result.mwl_disc == Fraction(1, 48)
         assert result.denominator_bound == 36
@@ -134,13 +138,13 @@ class TestDiscConsistency:
 
     def test_height_bound_admits_surviving_discs(self):
         for cand, disc in ((12, Fraction(1, 12)), (48, Fraction(1, 3))):
-            result = check_disc_consistency(EX1_Y2, cand, 20, 1)
+            result = check(EX1_Y2, cand, 20, 1)
             assert result.consistent
             assert result.mwl_disc == disc
 
     def test_example2_candidates(self):
-        bad = check_disc_consistency(EX2_Y1, 4, 20, 1)
+        bad = check(EX2_Y1, 4, 20, 1)
         assert not bad.consistent
         assert bad.mwl_disc == Fraction(1, 24)
         for cand in (16, 64):
-            assert check_disc_consistency(EX2_Y1, cand, 20, 1).consistent
+            assert check(EX2_Y1, cand, 20, 1).consistent

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcycle import jsonio, lattice, transcendental
+from invcycle import jsonio, lattice, mordell_weil, transcendental
 from invcycle.jsonio import SchemaError, parse_branch_spec, parse_surface_config
 from invcycle.kodaira import euler_number, fiber
+from invcycle.mordell_weil import shioda_tate
 from invcycle.pipeline import (
     PipelineContradictionError,
     _Run,
@@ -691,7 +692,49 @@ class TestClassWorkOncePerRun:
         # The property builds the records on demand, and only there.
         pairs = list(enumerate(candidates))
         resolution = transcendental.resolve_disc(
-            pairs, transcendental.candidate_classes(pairs), [], spec.seed, 20, None
+            pairs, transcendental.candidate_classes(pairs), [], spec.seed, shioda_tate(spec.seed, 20), None
         )
         assert verdicts == []
         assert len(resolution.certificate[1].classes) == len(verdicts) > 0
+
+
+class TestAccountingOncePerStage:
+    """Counts, not times: each stage with a report record walks its fibers
+    once, in shioda_tate, and the discriminant resolution and the height
+    checks read that stage's record."""
+
+    @staticmethod
+    def counted_profiles(monkeypatch):
+        calls = []
+        profile = mordell_weil.fiber_profile
+
+        def counted(f):
+            calls.append(f)
+            return profile(f)
+
+        monkeypatch.setattr(mordell_weil, "fiber_profile", counted)
+        return calls
+
+    @pytest.mark.parametrize("example, fibers", [(1, 15), (2, 18)])
+    def test_one_walk_per_stage(self, monkeypatch, example, fibers):
+        calls = self.counted_profiles(monkeypatch)
+        report = run_example(example)
+        records = [report["seed"], *report["stages"]]
+        assert all("shioda_tate" in record for record in records)
+        assert report["analysis"]["resolutions"] and report["analysis"]["denominator_checks"]
+        assert len(calls) == sum(len(record["config"]["fibers"]) for record in records) == fibers
+
+    def test_resolution_walks_no_fiber(self, monkeypatch):
+        tokens = ["I0*", "I0*", "IV", "IV*"]
+        y2 = SurfaceConfig("y2", 0, tuple((str(i), fiber(t)) for i, t in enumerate(tokens)))
+        record = shioda_tate(y2, 20)
+        calls = self.counted_profiles(monkeypatch)
+        candidates = transcendental.double_cover_disc_candidates(12)
+        bound = transcendental.ExclusionFact("denominator_bound", None, None, "height bound")
+        resolution = transcendental.resolve_disc(
+            candidates, transcendental.candidate_classes(candidates), [bound], y2, record, 1
+        )
+        assert calls == []
+        # The bound applied: disc(MWL) = 1/48 for candidate 3 does not divide 6^2.
+        assert "does not divide the bound 36" in resolution.certificate[0].reason
+        assert resolution.surviving == ((1, 12), (2, 48))

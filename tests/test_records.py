@@ -186,8 +186,8 @@ FIELDS = {
         "lattice", "index_bound", "rigid", "checks", "witness", "witness_reduced", "conclusion",
     ),
     SpecializationResult: ("index", "verdict"),
-    ShiodaTateResult: ("rho", "trivial_rank", "mw_rank", "trivial_disc"),
-    DiscConsistency: ("consistent", "mw_rank", "mwl_disc", "denominator_bound", "reason"),
+    ShiodaTateResult: ("rho", "trivial_rank", "mw_rank", "trivial_disc", "height_lcm"),
+    DiscConsistency: ("consistent", "mwl_disc", "denominator_bound", "reason"),
 }
 
 
@@ -211,7 +211,7 @@ def pipeline_records():
     verdict = ClassVerdict(A2, "p", "not_isomorphic_to")
     candidate = CandidateVerdict(0, 3, True, None, ((1, 1, 1),), {0: fact})
     rigid = rigidity_transfer(A2)
-    check = check_disc_consistency(SEED, 12, 20, 1)
+    check = check_disc_consistency(shioda_tate(SEED, 20), 12, 1)
     return [
         (spec, build_pipeline_spec(SEED, BRANCH, ())),
         (Reason("n", True), Reason("n", conditional=False)),
@@ -228,7 +228,7 @@ def pipeline_records():
         (rigid, rigidity_transfer(BinaryEvenForm(2, 0, 2))),
         (specialization_index(12, 3), specialization_index(3, 3)),
         (shioda_tate(SEED, 20), shioda_tate(SEED, 21)),
-        (check, check_disc_consistency(SEED, 3, 20, 1)),
+        (check, check_disc_consistency(shioda_tate(SEED, 20), 3, 1)),
     ]
 
 
@@ -296,8 +296,8 @@ def test_pipeline_record_repr_literals():
         "ClassVerdict(form=BinaryEvenForm(a=1, b=1, c=1), excluded_by='p', fact_kind='not_isomorphic_to')"
     )
     assert repr(specialization_index(12, 3)) == "SpecializationResult(index=2, verdict='LICT_fails')"
-    assert repr(check_disc_consistency(SEED, 12, 20, 1)) == (
-        "DiscConsistency(consistent=True, mw_rank=0, mwl_disc=Fraction(1, 1), denominator_bound=1, reason=None)"
+    assert repr(check_disc_consistency(shioda_tate(SEED, 20), 12, 1)) == (
+        "DiscConsistency(consistent=True, mwl_disc=Fraction(1, 1), denominator_bound=1, reason=None)"
     )
 
 

@@ -15,7 +15,7 @@ from invcycle.lattice import (
     reduce_binary,
     root_gram,
 )
-from invcycle.mordell_weil import check_disc_consistency
+from invcycle.mordell_weil import check_disc_consistency, shioda_tate
 from invcycle.surfaces import SurfaceConfig
 from invcycle.transcendental import (
     FACT_KINDS,
@@ -42,6 +42,7 @@ def config(tokens, genus=0):
 
 
 EX1_Y2 = config(["I0*", "I0*", "IV", "IV*"])
+EX1_Y2_ST = shioda_tate(EX1_Y2, 20)
 
 
 class TestCandidates:
@@ -115,7 +116,7 @@ class TestResolveDisc:
         candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
-            self.EX1_FACTS, EX1_Y2, rho=20, torsion_order=1
+            self.EX1_FACTS, EX1_Y2, st=EX1_Y2_ST, torsion_order=1
         )
         assert res.resolved
         assert res.resolved_disc == 48
@@ -126,7 +127,7 @@ class TestResolveDisc:
         candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
-            self.EX1_FACTS, EX1_Y2, rho=20, torsion_order=1
+            self.EX1_FACTS, EX1_Y2, st=EX1_Y2_ST, torsion_order=1
         )
         by_disc = {c.disc: c for c in res.certificate}
         # Candidate 3: the single class (1,1,1) is killed by the isomorphism fact,
@@ -151,7 +152,7 @@ class TestResolveDisc:
         candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
-            self.EX1_FACTS[:3], other, rho=20, torsion_order=1
+            self.EX1_FACTS[:3], other, st=shioda_tate(other, 20), torsion_order=1
         )
         assert not res.resolved
         assert {d for _, d in res.surviving} == {12, 48}
@@ -169,7 +170,7 @@ class TestResolveDisc:
             bound_fact(),
         ]
         res = resolve_disc(
-            candidates, candidate_classes(candidates), facts, ex2, rho=20, torsion_order=1
+            candidates, candidate_classes(candidates), facts, ex2, st=shioda_tate(ex2, 20), torsion_order=1
         )
         assert not res.resolved
         assert {d for _, d in res.surviving} == {16, 64}
@@ -180,7 +181,7 @@ class TestResolveDisc:
         candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
-            [bound_fact()], EX1_Y2, rho=20, torsion_order=None
+            [bound_fact()], EX1_Y2, st=EX1_Y2_ST, torsion_order=None
         )
         assert {d for _, d in res.surviving} == {3, 12, 48}
 
@@ -197,7 +198,7 @@ class TestResolveDisc:
             ),
         ]
         res = resolve_disc(
-            candidates, candidate_classes(candidates), facts, EX1_Y2, rho=20, torsion_order=1
+            candidates, candidate_classes(candidates), facts, EX1_Y2, st=EX1_Y2_ST, torsion_order=1
         )
         assert res.surviving == ()
         assert all(cand.excluded for cand in res.certificate)
@@ -206,7 +207,7 @@ class TestResolveDisc:
         # disc 1 and 2 have no even positive-definite binary forms.
         candidates = [(0, 1), (1, 4)]
         res = resolve_disc(
-            candidates, candidate_classes(candidates), [], EX1_Y2, rho=20, torsion_order=1
+            candidates, candidate_classes(candidates), [], EX1_Y2, st=EX1_Y2_ST, torsion_order=1
         )
         by_disc = {c.disc: c for c in res.certificate}
         assert by_disc[1].excluded
@@ -227,13 +228,13 @@ class TestResolveDisc:
         ]
         candidates = [(1, 12)]
         res = resolve_disc(
-            candidates, candidate_classes(candidates), facts, EX1_Y2, rho=20, torsion_order=None
+            candidates, candidate_classes(candidates), facts, EX1_Y2, st=EX1_Y2_ST, torsion_order=None
         )
         (cv,) = [cv for cv in res.certificate[0].classes if cv.form == BinaryEvenForm(1, 0, 3)]
         assert (cv.excluded_by, cv.fact_kind) == ("first", "not_isomorphic_to")
         res = resolve_disc(
             candidates, candidate_classes(candidates), [facts[0], facts[2]], EX1_Y2,
-            rho=20, torsion_order=None,
+            st=EX1_Y2_ST, torsion_order=None,
         )
         (cv,) = [cv for cv in res.certificate[0].classes if cv.form == BinaryEvenForm(1, 0, 3)]
         assert (cv.excluded_by, cv.fact_kind) == ("second", "no_fibration_with_fibers")
@@ -250,7 +251,7 @@ class TestResolveDisc:
             )
         ]
         res = resolve_disc(
-            [(1, 12)], candidate_classes([(1, 12)]), facts, EX1_Y2, rho=20, torsion_order=None
+            [(1, 12)], candidate_classes([(1, 12)]), facts, EX1_Y2, st=EX1_Y2_ST, torsion_order=None
         )
         assert res.resolved
         assert res.surviving_form == BinaryEvenForm(2, 2, 2)
@@ -310,18 +311,19 @@ class TestResolveDiscOracle:
     @given(resolution_inputs())
     def test_matches_the_per_class_loop(self, inputs):
         candidates, context, torsion, facts = inputs
+        record = shioda_tate(context, 20)
 
         def bound_failure(disc):
             if torsion is None:
                 return None
-            check = check_disc_consistency(context, disc, 20, torsion)
+            check = check_disc_consistency(record, disc, torsion)
             return None if check.consistent else check.reason
 
         classes = {disc: even_posdef_binary_scan(disc) for _alpha, disc in candidates}
         certificate, surviving, form = resolve_by_classes(
             candidates, classes, facts, context.fiber_tokens(), bound_failure
         )
-        res = resolve_disc(candidates, candidate_classes(candidates), facts, context, 20, torsion)
+        res = resolve_disc(candidates, candidate_classes(candidates), facts, context, record, torsion)
         assert [
             (cand.alpha, cand.disc, cand.excluded, cand.reason,
              [((cv.form.a, cv.form.b, cv.form.c), cv.excluded_by, cv.fact_kind) for cv in cand.classes])
