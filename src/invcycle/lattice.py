@@ -537,35 +537,3 @@ def enumerate_even_overlattices(lattice: GramLattice, m: int) -> list[GramLattic
     `rigidity_transfer` ensure.
     """
     return sorted(_even_hermite_grams(lattice.gram, m), key=attrgetter("gram"))
-
-
-def root_gram(kind: str, rank: int) -> GramLattice:
-    """Positive-definite root lattice Gram matrix of Dynkin type A, D or E.
-
-    No command builds it: the closed forms for rank and determinant (A_n
-    has n + 1, D_n has 4, E6/E7/E8 have 3/2/1) live in the `kodaira`
-    catalog, and this matrix is the reference the tests check them against.
-    """
-    if kind == "A":
-        if rank < 1:
-            raise ValueError("A_n needs n >= 1")
-        edges = [(i, i + 1) for i in range(rank - 1)]
-    elif kind == "D":
-        if rank < 4:
-            raise ValueError("D_n needs n >= 4")
-        edges = [(i, i + 1) for i in range(rank - 3)]
-        edges += [(rank - 3, rank - 2), (rank - 3, rank - 1)]
-    elif kind == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError("E_n needs n in {6, 7, 8}")
-        edges = [(i, i + 1) for i in range(rank - 2)]
-        edges.append((2, rank - 1))
-    else:
-        raise ValueError(f"unknown root lattice kind {kind!r}")
-    rows = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        rows[i][i] = 2
-    for i, j in edges:
-        rows[i][j] = -1
-        rows[j][i] = -1
-    return GramLattice(rows)

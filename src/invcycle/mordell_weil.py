@@ -1,8 +1,8 @@
 """Shioda-Tate rank accounting and Mordell-Weil discriminant arithmetic.
 
-The Picard number and the torsion order are inputs here, not theorems:
-callers obtain them from declared assumptions, and this module only does
-exact bookkeeping on them, walking a stage's fibers once (`shioda_tate`).
+The Picard number and the torsion order are declared inputs, not
+theorems.  `shioda_tate` walks a stage's fibers once; the pipeline reads
+this record and alone makes the height checks (`check_disc_consistency`).
 """
 
 from __future__ import annotations

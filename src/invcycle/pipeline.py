@@ -41,7 +41,7 @@ from .jsonio import (
 )
 from .kodaira import is_star
 from .lattice import FrozenRecord
-from .mordell_weil import ShiodaTateResult, check_disc_consistency, shioda_tate
+from .mordell_weil import DiscConsistency, ShiodaTateResult, check_disc_consistency, shioda_tate
 from .surfaces import (
     BaseChangeResult,
     BranchSpec,
@@ -127,7 +127,8 @@ class _Run:
     invariants; the seed X is not among them.  `pinned` maps a stage to its
     central discriminants and where they come from.  `nearby_disc` is known
     once a rigid quotient lattice fixes it.  `accounting` maps X, then each
-    covering stage, to its Shioda-Tate record when rho is assumed maximal.
+    covering stage, to its Shioda-Tate record when rho is assumed maximal,
+    and `height` a checked stage to its height checks (see check_discs).
     """
 
     def __init__(self, spec: PipelineSpec, seed_inv: SurfaceInvariants) -> None:
@@ -135,6 +136,7 @@ class _Run:
         self.seed_inv = seed_inv
         self.surfaces: dict[str, tuple[SurfaceConfig, SurfaceInvariants]] = {}
         self.accounting: dict[str, ShiodaTateResult] = {}
+        self.height: dict[str, dict[int, DiscConsistency] | None] = {}
         self.candidates: list[tuple[int, int]] = []
         self.pinned: dict[str, tuple[list[int], str]] = {}
         self.nearby_disc: int | None = None
@@ -147,6 +149,12 @@ class _Run:
     def note(self, note: str | None, conditional: bool = True) -> None:
         """Record a reason, conditional unless said otherwise."""
         self.reasons.append(Reason(note, conditional))
+
+    def check_discs(self, name: str, discs: list[int]) -> dict[int, DiscConsistency] | None:
+        """The stage's height check of each disc, kept in `height`; None without a torsion order."""
+        torsion, st = self.spec.torsion.get(name), self.accounting[name]
+        self.height[name] = torsion and {d: check_disc_consistency(st, d, torsion.value) for d in discs}
+        return self.height[name]
 
 
 def _invariants_json(inv: SurfaceInvariants) -> dict:
@@ -398,11 +406,10 @@ def _resolution_stage(run: _Run) -> None:
         if "picard_maximal" not in spec.flags:
             run.note(f"stage {name}: discriminant resolution needs a Picard assumption")
             continue
-        torsion = spec.torsion.get(name)
         if classes is None:
             classes = candidate_classes(candidates)
-        resolution = resolve_disc(candidates, classes, spec.facts, config, run.accounting[name],
-                                  torsion.value if torsion else None)
+        height = run.check_discs(name, [d for _a, d in candidates])
+        resolution = resolve_disc(candidates, classes, spec.facts, config.fiber_tokens(), height)
         if not resolution.surviving:
             raise PipelineContradictionError(
                 f"assumptions: stage {name}: every discriminant candidate was excluded"
@@ -426,15 +433,13 @@ def _height_checks(run: _Run) -> None:
     for name, st in run.accounting.items():
         if name not in run.pinned:
             continue
-        torsion = spec.torsion.get(name)
-        if torsion is None:
+        discs, torsion = run.pinned[name][0], spec.torsion.get(name)
+        # A resolved stage checked every candidate, excluded ones too, as it resolved.
+        height = run.height[name] if name in run.height else run.check_discs(name, discs)
+        if height is None:
             run.note(f"stage {name}: no torsion assumption, height cross-check skipped")
             continue
-        discs, source = run.pinned[name]
-        # A resolved stage reports the bound on every candidate, excluded ones too.
-        pool = [d for _a, d in run.candidates] if source == "resolution" else discs
-        for disc in pool:
-            check = check_disc_consistency(st, disc, torsion.value)
+        for disc, check in height.items():
             entry = {
                 "stage": name,
                 "candidate_disc": tagged(disc, "derived"),

@@ -4,9 +4,10 @@ Every transcendental lattice here is a rank-2, even, positive-definite
 binary form, a `BinaryEvenForm`; `jsonio` checks that once when it parses
 the ledger.  A degree-2 cover leaves the covered surface's discriminant
 determined only up to a power of 4; candidates are cut down by
-externally supplied exclusion facts, never by geometry recomputed here.
-Rigidity certificates and specialization indices turn the surviving
-discriminants into a verdict about integral invariant cycle lifting.
+externally supplied exclusion facts and the pipeline's height checks,
+never by geometry recomputed here.  Rigidity certificates and
+specialization indices turn the surviving discriminants into a verdict
+about integral invariant cycle lifting.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .lattice import (
     reduce_binary,
     sublattice_index_from_discs,
 )
-from .mordell_weil import ShiodaTateResult, check_disc_consistency
-from .surfaces import SurfaceConfig
 
 VERDICT_FAILS = "LICT_fails"
 VERDICT_HOLDS_POSSIBLE = "LICT_holds_possible"
@@ -121,22 +120,21 @@ def resolve_disc(
     candidates: list[tuple[int, int]],
     classes: dict[int, tuple[tuple[int, int, int], ...]],
     facts: list[ExclusionFact],
-    context: SurfaceConfig,
-    st: ShiodaTateResult,
-    torsion_order: int | None,
+    context_tokens: tuple[str, ...],
+    height: dict | None,
 ) -> DiscResolution:
     """Cross off candidates whose every isometry class is excluded.
 
     `classes` maps each candidate discriminant to its reduced classes as
     (a, b, c) tuples (see candidate_classes).  A class-level fact kills
-    one reduced form; the denominator-bound fact kills a whole candidate by
-    `st`, the Shioda-Tate record of the stage whose fibers `context` holds.
+    one reduced form, given the stage's sorted `context_tokens`; the
+    denominator-bound fact kills a candidate whose check in `height` (the
+    stage's `DiscConsistency` by disc, None without a torsion order) fails.
     The certificate records the outcome for every candidate and, by
     position in its class tuple, every excluded class.  More than one
     survivor is a valid ambiguous state; none leaves `surviving` empty,
     an inconsistent fact set that the pipeline reports as a contradiction.
     """
-    context_tokens = context.fiber_tokens()
     # The first fact that applies here to each reduced form, found among
     # its disc's classes by bisection on (a, b, c); a fibration fact
     # applies only to a surface with its fiber multiset.
@@ -153,18 +151,15 @@ def resolve_disc(
             i = bisect_left(forms, abc)
             if i < len(forms) and forms[i] == abc:
                 hits.setdefault(i, fact)
-    # The first denominator-bound fact applies the bound; a later one would repeat it.
-    bound = next((fact for fact in facts if fact.kind == "denominator_bound"), None)
+    # The first bound fact applies, given height checks; a later one would repeat it.
+    bound = height and next((fact for fact in facts if fact.kind == "denominator_bound"), None)
     certificate = []
     surviving = []
     for alpha, disc in candidates:
         forms, hits = classes[disc], excluding[disc]
         reason = None if forms else "no even positive-definite binary form has this discriminant"
-        # Without a torsion assumption the bound cannot be applied.
-        if reason is None and bound is not None and torsion_order is not None:
-            check = check_disc_consistency(st, disc, torsion_order)
-            if not check.consistent:
-                reason = f"{check.reason} [{bound.provenance}]"
+        if reason is None and bound and not height[disc].consistent:
+            reason = f"{height[disc].reason} [{bound.provenance}]"
         excluded = reason is not None or len(hits) == len(forms)
         certificate.append(CandidateVerdict(alpha, disc, excluded, reason, forms, hits))
         if not excluded:

@@ -5,13 +5,16 @@ theta-fingerprint class separation instead of Gauss reduction, dual-coset
 and closure-grown isotropic subgroups instead of a Hermite-form search,
 permutation-expansion determinants instead of fraction-free elimination.
 Tests freeze oracle outputs or compare them directly against library
-results.
+results.  `root_gram` builds the root-lattice Gram matrices that the
+`kodaira` catalog's closed forms are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+from invcycle.lattice import GramLattice
 
 
 def det_permutation_expansion(matrix):
@@ -364,3 +367,35 @@ def resolve_by_classes(candidates, classes, facts, context_tokens, bound_failure
             surviving.append((alpha, disc))
             live += [triple for triple, provenance, _k in verdicts if provenance is None]
     return certificate, surviving, live[0] if len(live) == 1 else None
+
+
+def root_gram(kind: str, rank: int) -> GramLattice:
+    """Positive-definite root lattice Gram matrix of Dynkin type A, D or E.
+
+    No command builds it: the closed forms for rank and determinant (A_n
+    has n + 1, D_n has 4, E6/E7/E8 have 3/2/1) live in the `kodaira`
+    catalog, and this matrix is the reference the tests check them against.
+    """
+    if kind == "A":
+        if rank < 1:
+            raise ValueError("A_n needs n >= 1")
+        edges = [(i, i + 1) for i in range(rank - 1)]
+    elif kind == "D":
+        if rank < 4:
+            raise ValueError("D_n needs n >= 4")
+        edges = [(i, i + 1) for i in range(rank - 3)]
+        edges += [(rank - 3, rank - 2), (rank - 3, rank - 1)]
+    elif kind == "E":
+        if rank not in (6, 7, 8):
+            raise ValueError("E_n needs n in {6, 7, 8}")
+        edges = [(i, i + 1) for i in range(rank - 2)]
+        edges.append((2, rank - 1))
+    else:
+        raise ValueError(f"unknown root lattice kind {kind!r}")
+    rows = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        rows[i][i] = 2
+    for i, j in edges:
+        rows[i][j] = -1
+        rows[j][i] = -1
+    return GramLattice(rows)

@@ -28,7 +28,6 @@ from invcycle.lattice import (
     enumerate_even_overlattices,
     enumerate_even_posdef_binary,
     reduce_binary,
-    root_gram,
     smith_normal_form,
 )
 from invcycle.mordell_weil import check_disc_consistency, shioda_tate
@@ -189,8 +188,9 @@ def test_criterion_06_discriminant_resolution_end_to_end():
             ),
         ]
         st = shioda_tate(y2, 20)
+        height = {disc: check_disc_consistency(st, disc, 1) for _alpha, disc in candidates}
         resolution = resolve_disc(
-            candidates, candidate_classes(candidates), facts, y2, st=st, torsion_order=1
+            candidates, candidate_classes(candidates), facts, y2.fiber_tokens(), height
         )
         assert resolution.resolved
         assert resolution.resolved_disc == 48
@@ -205,7 +205,7 @@ def test_criterion_06_discriminant_resolution_end_to_end():
 
 def test_criterion_07_rigidity_and_specialization():
     with criterion(7, "rigidity certificate and specialization indices"):
-        assert rigidity_transfer(BinaryEvenForm.from_gram(root_gram("A", 2))).rigid
+        assert rigidity_transfer(BinaryEvenForm.from_gram(oracles.root_gram("A", 2))).rigid
         jump = specialization_index(48, 3)
         assert jump.index == 4
         assert jump.verdict == VERDICT_FAILS

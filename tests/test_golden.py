@@ -69,6 +69,21 @@ def not_rigid(docs):
             a["payload"]["gram"] = [[8, 0], [0, 8]]
 
 
+def with_bound(docs):
+    docs["assumptions"]["assumptions"].append(
+        {
+            "name": "exclusion_fact",
+            "payload": {"kind": "denominator_bound", "provenance": "height pairing bound"},
+            "provenance": "height pairing bound",
+        }
+    )
+
+
+def no_facts_bound(docs):
+    without("exclusion_fact")(docs)
+    with_bound(docs)
+
+
 # case -> (bundled example, edit of its documents or None for `verify example`)
 CASES = {
     "example1": ("example1", None),
@@ -82,8 +97,11 @@ CASES = {
     "family-gate-bare": ("example1", family_gate_bare),
     "incompatible-y2": ("example1", incompatible_y2),
     "not-rigid": ("example2", not_rigid),
+    "example1-bound": ("example1", with_bound),
+    "example2-bound": ("example2", with_bound),
+    "no-facts-bound": ("example1", no_facts_bound),
 }
-TEXT_CASES = ("example1", "example2", "family-gate")
+TEXT_CASES = ("example1", "example2", "family-gate", "example1-bound")
 RUNS = [(case, "json") for case in CASES] + [(case, "txt") for case in TEXT_CASES]
 
 

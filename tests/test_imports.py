@@ -1,10 +1,12 @@
-"""What `import invcycle` and each subcommand load.
+"""What `import invcycle`, each subcommand and each pipeline module load.
 
 The lattice and fiber commands load `cli`, `jsonio`, `lattice` and
-`kodaira` only, no pipeline module.  No command loads `dataclasses` or
-`inspect`, whose import and exec-built classes used to be most of the
-start-up.  Each case runs in a fresh interpreter, because this test
-session has loaded everything already.
+`kodaira` only, no pipeline module.  `transcendental` loads `lattice`
+only: the pipeline makes the height checks and hands it their results.
+No command loads `dataclasses` or `inspect`, whose import and
+exec-built classes used to be most of the start-up.  Each case runs in
+a fresh interpreter, because this test session has loaded everything
+already.
 """
 
 import json
@@ -28,17 +30,22 @@ if sys.argv[1:]:
         code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
+IMPORT_TRANSCENDENTAL = """
+import json, sys
+import invcycle.transcendental
+print(json.dumps({"code": 0, "modules": sorted(sys.modules)}))
+"""
 
 PIPELINE_MODULES = {
     "invcycle.pipeline", "invcycle.surfaces", "invcycle.transcendental", "invcycle.mordell_weil",
 }
 
 
-def loaded_by(*argv):
+def loaded_by(*argv, probe=PROBE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, check=True
     )
     result = json.loads(proc.stdout)
     assert result["code"] == 0, proc.stderr
@@ -82,6 +89,11 @@ def test_custom_command_loads_no_dataclasses():
 
 def test_package_import_loads_no_submodule():
     assert {m for m in loaded_by() if m.split(".")[0] == "invcycle"} == {"invcycle"}
+
+
+def test_transcendental_loads_only_the_lattice_kernels():
+    ours = {m for m in loaded_by(probe=IMPORT_TRANSCENDENTAL) if m.split(".")[0] == "invcycle"}
+    assert ours == {"invcycle", "invcycle.lattice", "invcycle.transcendental"}
 
 
 def test_every_error_class_is_a_value_error():

@@ -15,7 +15,6 @@ from invcycle.lattice import (
     enumerate_even_overlattices,
     enumerate_even_posdef_binary,
     reduce_binary,
-    root_gram,
     smith_normal_form,
     sublattice_index_from_discs,
 )
@@ -28,6 +27,7 @@ from oracles import (
     even_posdef_binary_scan,
     random_even_posdef_gram,
     reduce_triple,
+    root_gram,
     theta_fingerprint,
 )
 

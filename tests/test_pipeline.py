@@ -1,6 +1,9 @@
 """End-to-end pipeline reports: frozen values, tampering, failure paths."""
 
+import contextlib
 import importlib.util
+import io
+import itertools
 import json
 import random
 import sys
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcycle import jsonio, lattice, mordell_weil, transcendental
+from invcycle import cli, jsonio, lattice, mordell_weil, pipeline, transcendental
 from invcycle.jsonio import SchemaError, parse_branch_spec, parse_surface_config
 from invcycle.kodaira import euler_number, fiber
 from invcycle.mordell_weil import shioda_tate
@@ -630,13 +633,19 @@ class TestRenderingBuildsNoLattice:
         assert all(small_built), runs
 
 
-def generated_certificate(seed, disc):
-    """One certificate of the benchmark's `certificates` generator, parsed."""
+def perfbench_workloads():
+    """The benchmark's input generators, `perfbench/workloads.py`."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads_for_pipeline", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up here
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def generated_certificate(seed, disc):
+    """One certificate of the benchmark's `certificates` generator, parsed."""
+    workloads = perfbench_workloads()
     rng = random.Random(seed)
     config, branch, assumptions, _params = workloads.certificate_files(
         rng, workloads.CertificateDecks(rng), disc, "work-count"
@@ -692,7 +701,7 @@ class TestClassWorkOncePerRun:
         # The property builds the records on demand, and only there.
         pairs = list(enumerate(candidates))
         resolution = transcendental.resolve_disc(
-            pairs, transcendental.candidate_classes(pairs), [], spec.seed, shioda_tate(spec.seed, 20), None
+            pairs, transcendental.candidate_classes(pairs), [], spec.seed.fiber_tokens(), None
         )
         assert verdicts == []
         assert len(resolution.certificate[1].classes) == len(verdicts) > 0
@@ -701,7 +710,8 @@ class TestClassWorkOncePerRun:
 class TestAccountingOncePerStage:
     """Counts, not times: each stage with a report record walks its fibers
     once, in shioda_tate, and the discriminant resolution and the height
-    checks read that stage's record."""
+    checks read that stage's record.  The pipeline makes each height
+    check once, and the report renders every check it makes."""
 
     @staticmethod
     def counted_profiles(monkeypatch):
@@ -731,10 +741,59 @@ class TestAccountingOncePerStage:
         calls = self.counted_profiles(monkeypatch)
         candidates = transcendental.double_cover_disc_candidates(12)
         bound = transcendental.ExclusionFact("denominator_bound", None, None, "height bound")
+        height = {disc: mordell_weil.check_disc_consistency(record, disc, 1) for _a, disc in candidates}
         resolution = transcendental.resolve_disc(
-            candidates, transcendental.candidate_classes(candidates), [bound], y2, record, 1
+            candidates, transcendental.candidate_classes(candidates), [bound], y2.fiber_tokens(), height
         )
         assert calls == []
         # The bound applied: disc(MWL) = 1/48 for candidate 3 does not divide 6^2.
         assert "does not divide the bound 36" in resolution.certificate[0].reason
         assert resolution.surviving == ((1, 12), (2, 48))
+
+    @staticmethod
+    def counted_checks(monkeypatch):
+        """Every height check a run makes, as (stage record, disc, torsion),
+        whichever module makes it."""
+        calls = []
+        check = mordell_weil.check_disc_consistency
+
+        def counted(st, disc, torsion):
+            calls.append((id(st), disc, torsion))
+            return check(st, disc, torsion)
+
+        for module in (mordell_weil, pipeline, transcendental):
+            if getattr(module, "check_disc_consistency", None) is check:
+                monkeypatch.setattr(module, "check_disc_consistency", counted)
+        return calls
+
+    @pytest.mark.parametrize("example, bound, checks", [
+        ("example1", False, 7), ("example2", False, 9), ("example1", True, 7), ("example2", True, 9),
+    ])
+    def test_one_check_per_reported_disc(self, monkeypatch, example, bound, checks):
+        config, branch, assumptions = docs(example)
+        if bound:
+            fact = {"kind": "denominator_bound", "provenance": "height pairing bound"}
+            assumptions["assumptions"].append(
+                {"name": "exclusion_fact", "payload": fact, "provenance": fact["provenance"]}
+            )
+        spec = build_pipeline_spec(
+            parse_surface_config(config), parse_branch_spec(branch), jsonio.parse_assumptions(assumptions)
+        )
+        calls = self.counted_checks(monkeypatch)
+        report = run_pipeline(spec)
+        assert len(calls) == len(report["analysis"]["denominator_checks"]) == checks
+        reasons = " ".join(cand.get("reason", "") for item in report["analysis"]["resolutions"]
+                           for cand in item["resolution"]["certificate"])
+        assert ("[height pairing bound]" in reasons) == bound
+
+    def test_no_disc_checked_twice_on_benchmark_certificates(self, monkeypatch, tmp_path):
+        calls = self.counted_checks(monkeypatch)
+        for op in itertools.islice(perfbench_workloads().stream("certificates", 1, tmp_path), 32):
+            calls.clear()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(list(op.argv))
+            assert len(set(calls)) == len(calls), op.argv
+            if code != 1:
+                checks = json.loads(out.getvalue())["analysis"].get("denominator_checks", [])
+                assert len(calls) == len(checks), op.argv

@@ -13,7 +13,6 @@ from invcycle.lattice import (
     BinaryEvenForm,
     GramLattice,
     reduce_binary,
-    root_gram,
 )
 from invcycle.mordell_weil import check_disc_consistency, shioda_tate
 from invcycle.surfaces import SurfaceConfig
@@ -30,7 +29,7 @@ from invcycle.transcendental import (
     specialization_index,
     square_divisor_primes,
 )
-from oracles import even_posdef_binary_scan, max_square_divisor_root_scan, resolve_by_classes
+from oracles import even_posdef_binary_scan, max_square_divisor_root_scan, resolve_by_classes, root_gram
 
 
 def config(tokens, genus=0):
@@ -42,7 +41,13 @@ def config(tokens, genus=0):
 
 
 EX1_Y2 = config(["I0*", "I0*", "IV", "IV*"])
-EX1_Y2_ST = shioda_tate(EX1_Y2, 20)
+
+
+def height_checks(context, candidates, torsion):
+    """What the pipeline passes resolve_disc for a stage at rho = 20: the
+    height check of each candidate disc."""
+    record = shioda_tate(context, 20)
+    return {disc: check_disc_consistency(record, disc, torsion) for _alpha, disc in candidates}
 
 
 class TestCandidates:
@@ -116,7 +121,7 @@ class TestResolveDisc:
         candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
-            self.EX1_FACTS, EX1_Y2, st=EX1_Y2_ST, torsion_order=1
+            self.EX1_FACTS, EX1_Y2.fiber_tokens(), height_checks(EX1_Y2, candidates, 1)
         )
         assert res.resolved
         assert res.resolved_disc == 48
@@ -127,7 +132,7 @@ class TestResolveDisc:
         candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
-            self.EX1_FACTS, EX1_Y2, st=EX1_Y2_ST, torsion_order=1
+            self.EX1_FACTS, EX1_Y2.fiber_tokens(), height_checks(EX1_Y2, candidates, 1)
         )
         by_disc = {c.disc: c for c in res.certificate}
         # Candidate 3: the single class (1,1,1) is killed by the isomorphism fact,
@@ -152,7 +157,7 @@ class TestResolveDisc:
         candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
-            self.EX1_FACTS[:3], other, st=shioda_tate(other, 20), torsion_order=1
+            self.EX1_FACTS[:3], other.fiber_tokens(), height_checks(other, candidates, 1)
         )
         assert not res.resolved
         assert {d for _, d in res.surviving} == {12, 48}
@@ -170,7 +175,8 @@ class TestResolveDisc:
             bound_fact(),
         ]
         res = resolve_disc(
-            candidates, candidate_classes(candidates), facts, ex2, st=shioda_tate(ex2, 20), torsion_order=1
+            candidates, candidate_classes(candidates), facts, ex2.fiber_tokens(),
+            height_checks(ex2, candidates, 1),
         )
         assert not res.resolved
         assert {d for _, d in res.surviving} == {16, 64}
@@ -181,7 +187,7 @@ class TestResolveDisc:
         candidates = double_cover_disc_candidates(12)
         res = resolve_disc(
             candidates, candidate_classes(candidates),
-            [bound_fact()], EX1_Y2, st=EX1_Y2_ST, torsion_order=None
+            [bound_fact()], EX1_Y2.fiber_tokens(), None
         )
         assert {d for _, d in res.surviving} == {3, 12, 48}
 
@@ -198,7 +204,8 @@ class TestResolveDisc:
             ),
         ]
         res = resolve_disc(
-            candidates, candidate_classes(candidates), facts, EX1_Y2, st=EX1_Y2_ST, torsion_order=1
+            candidates, candidate_classes(candidates), facts, EX1_Y2.fiber_tokens(),
+            height_checks(EX1_Y2, candidates, 1),
         )
         assert res.surviving == ()
         assert all(cand.excluded for cand in res.certificate)
@@ -207,7 +214,8 @@ class TestResolveDisc:
         # disc 1 and 2 have no even positive-definite binary forms.
         candidates = [(0, 1), (1, 4)]
         res = resolve_disc(
-            candidates, candidate_classes(candidates), [], EX1_Y2, st=EX1_Y2_ST, torsion_order=1
+            candidates, candidate_classes(candidates), [], EX1_Y2.fiber_tokens(),
+            height_checks(EX1_Y2, candidates, 1),
         )
         by_disc = {c.disc: c for c in res.certificate}
         assert by_disc[1].excluded
@@ -228,13 +236,12 @@ class TestResolveDisc:
         ]
         candidates = [(1, 12)]
         res = resolve_disc(
-            candidates, candidate_classes(candidates), facts, EX1_Y2, st=EX1_Y2_ST, torsion_order=None
+            candidates, candidate_classes(candidates), facts, EX1_Y2.fiber_tokens(), None
         )
         (cv,) = [cv for cv in res.certificate[0].classes if cv.form == BinaryEvenForm(1, 0, 3)]
         assert (cv.excluded_by, cv.fact_kind) == ("first", "not_isomorphic_to")
         res = resolve_disc(
-            candidates, candidate_classes(candidates), [facts[0], facts[2]], EX1_Y2,
-            st=EX1_Y2_ST, torsion_order=None,
+            candidates, candidate_classes(candidates), [facts[0], facts[2]], EX1_Y2.fiber_tokens(), None
         )
         (cv,) = [cv for cv in res.certificate[0].classes if cv.form == BinaryEvenForm(1, 0, 3)]
         assert (cv.excluded_by, cv.fact_kind) == ("second", "no_fibration_with_fibers")
@@ -251,7 +258,7 @@ class TestResolveDisc:
             )
         ]
         res = resolve_disc(
-            [(1, 12)], candidate_classes([(1, 12)]), facts, EX1_Y2, st=EX1_Y2_ST, torsion_order=None
+            [(1, 12)], candidate_classes([(1, 12)]), facts, EX1_Y2.fiber_tokens(), None
         )
         assert res.resolved
         assert res.surviving_form == BinaryEvenForm(2, 2, 2)
@@ -323,7 +330,8 @@ class TestResolveDiscOracle:
         certificate, surviving, form = resolve_by_classes(
             candidates, classes, facts, context.fiber_tokens(), bound_failure
         )
-        res = resolve_disc(candidates, candidate_classes(candidates), facts, context, record, torsion)
+        height = None if torsion is None else height_checks(context, candidates, torsion)
+        res = resolve_disc(candidates, candidate_classes(candidates), facts, context.fiber_tokens(), height)
         assert [
             (cand.alpha, cand.disc, cand.excluded, cand.reason,
              [((cv.form.a, cv.form.b, cv.form.c), cv.excluded_by, cv.fact_kind) for cv in cand.classes])
