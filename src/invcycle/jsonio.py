@@ -18,7 +18,7 @@ that build their types, so the lattice and fiber commands never load them.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -368,17 +368,43 @@ def _parse_payload(name: str, payload: dict, where: str) -> tuple[str | None, An
     return stage, value
 
 
+class ClassEntries(FrozenRecord):
+    """One candidate's class entries in a report, with no entry built.
+
+    forms is the disc's sorted tuple of reduced classes as (a, b, c),
+    and marks maps a position in it to the (provenance, kind) of the fact
+    that excludes that class.  It iterates as the entries' dicts, each
+    {"form": Gram} plus "excluded_by" and "fact_kind" where marked, and
+    dumps_canonical writes it as that list.
+    """
+
+    __slots__ = ("forms", "marks")
+
+    def __len__(self) -> int:
+        return len(self.forms)
+
+    def __iter__(self) -> Iterator[dict]:
+        marks = self.marks
+        for i, abc in enumerate(self.forms):
+            entry = {"form": binary_gram_to_json(*abc)}
+            if i in marks:
+                entry["excluded_by"], entry["fact_kind"] = marks[i]
+            yield entry
+
+
 def dumps_canonical(document: Any) -> str:
     """Deterministic JSON rendering: sorted keys, two-space indent.
 
     Byte for byte equal to json.dumps(document, indent=2, sort_keys=True,
     ensure_ascii=False) + "\n", whose indent path is the stdlib's pure-Python
-    encoder.  Only the report's types are accepted: dicts with str keys,
-    lists, str, int, bool and None.  Anything else raises TypeError.  An
-    array of objects the document holds twice, as two stages may hold one
-    candidate's class entries, is encoded once per indent and its text
-    copied, and a 2x2 matrix of strings, as every binary-form Gram is, is
-    written as one part: the bytes are unchanged.
+    encoder, with each `ClassEntries` replaced by the list of its entries.
+    Only the report's types are accepted: dicts with str keys, lists, str,
+    int, bool, None and `ClassEntries`.  Anything else raises TypeError.
+    A `ClassEntries` is written one template per class, and the unmarked
+    text of its forms at an indent is kept for the call, so a marked copy
+    of the same forms writes only its marked classes anew; a 2x2 matrix
+    of strings, as every other binary-form Gram is, is written as one
+    part.  The bytes are unchanged.
     """
     parts: list[str] = []
     _encode(document, parts.append, "\n", {})
@@ -386,13 +412,14 @@ def dumps_canonical(document: Any) -> str:
     return "".join(parts)
 
 
-def _encode(value: Any, append: Callable[[str], None], pad: str, seen: dict) -> None:
+def _encode(value: Any, append: Callable[[str], None], pad: str, memo: dict) -> None:
     """Append value's JSON; pad is a newline plus the current indent.
 
     A module-level function that takes `append`: nested closures over the
     parts list would form a reference cycle on every call, keeping the list
-    alive until the cyclic garbage collector runs.  seen maps (id, pad) of
-    each array of objects encoded so far to its slice of the parts list.
+    alive until the cyclic garbage collector runs.  memo maps (id, pad) of
+    the forms of each `ClassEntries` written so far to their unmarked
+    entries' text.
     """
     kind = type(value)
     if kind is dict:
@@ -409,21 +436,15 @@ def _encode(value: Any, append: Callable[[str], None], pad: str, seen: dict) -> 
                 append(f"{sep}{_encode_str(key)}: {_encode_str(item)}")
             else:
                 append(f"{sep}{_encode_str(key)}: ")
-                _encode(item, append, inner, seen)
+                _encode(item, append, inner, memo)
             sep = "," + inner
         append(pad + "}")
     elif kind is list:
         if not value:
             append("[]")
             return
-        ref, first, inner = None, value[0], pad + "  "
-        if type(first) is dict:
-            ref, parts = (id(value), pad), append.__self__
-            if ref in seen:
-                append("".join(parts[seen[ref]]))
-                return
-            start = len(parts)
-        elif type(first) is list and len(value) == 2 and len(first) == 2:
+        first, inner = value[0], pad + "  "
+        if type(first) is list and len(value) == 2 and len(first) == 2:
             second = value[1]
             if type(second) is list and len(second) == 2:
                 (a, b), (c, d) = first, second
@@ -440,11 +461,9 @@ def _encode(value: Any, append: Callable[[str], None], pad: str, seen: dict) -> 
                 append(sep + _encode_str(item))
             else:
                 append(sep)
-                _encode(item, append, inner, seen)
+                _encode(item, append, inner, memo)
             sep = "," + inner
         append(pad + "]")
-        if ref is not None:
-            seen[ref] = slice(start, len(parts))
     elif kind is str:
         append(_encode_str(value))
     elif kind is int:
@@ -455,5 +474,35 @@ def _encode(value: Any, append: Callable[[str], None], pad: str, seen: dict) -> 
         append("true")
     elif value is False:
         append("false")
+    elif kind is ClassEntries:
+        _encode_classes(value.forms, value.marks, append, pad, memo)
     else:
         raise TypeError(f"object of type {kind.__name__} is not canonical JSON")
+
+
+def _encode_classes(forms: tuple, marks: dict, append: Callable[[str], None], pad: str, memo: dict) -> None:
+    """Append a ClassEntries' JSON: the entries as _encode writes their
+    dicts, whose keys sort as "excluded_by", "fact_kind", "form".  A Gram's
+    entries are decimal ints, which need no escaping."""
+    if not forms:
+        append("[]")
+        return
+    inner = pad + "  "
+    field = inner + "  "
+    entries = memo.get((id(forms), pad))
+    if entries is None:
+        row, cell = field + "  ", field + "    "
+        template = (
+            f'{{{field}"form": [{row}[{cell}"%d",{cell}"%d"{row}],'
+            f'{row}[{cell}"%d",{cell}"%d"{row}]{field}]{inner}}}'
+        )
+        entries = memo[id(forms), pad] = [template % (2 * a, b, b, 2 * c) for a, b, c in forms]
+    if marks:
+        entries = entries.copy()
+        for i, (provenance, kind) in marks.items():
+            # Past its "{", the unmarked entry starts with the "form" field.
+            entries[i] = (
+                f'{{{field}"excluded_by": {_encode_str(provenance)},'
+                f'{field}"fact_kind": {_encode_str(kind)},{entries[i][1:]}'
+            )
+    append(f"[{inner}" + f",{inner}".join(entries) + f"{pad}]")

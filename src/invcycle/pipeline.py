@@ -27,9 +27,9 @@ from .jsonio import (
     FLAG_ASSUMPTIONS,
     SEED_STAGE,
     Assumption,
+    ClassEntries,
     InputError,
     SchemaError,
-    binary_gram_to_json,
     dumps_canonical,
     exclusion_fact_to_json,
     form_to_json,
@@ -216,22 +216,15 @@ def _surface_record(run: _Run, name: str, config: SurfaceConfig, inv: SurfaceInv
 
 
 def _resolution_json(resolution: DiscResolution, rendered: dict) -> dict:
-    """rendered holds each disc's class entries, built once per run, and
-    a copy per set of exclusions with those entries replaced; the stages
-    share them, and dumps_canonical encodes a shared list once."""
+    """rendered holds each disc's class entries, one `ClassEntries` per
+    set of marks, built once per run; the stages share them."""
     certificate = []
     for cand in resolution.certificate:
-        classes = rendered.get(cand.disc)
+        marks = {i: (fact.provenance, fact.kind) for i, fact in cand.excluded_by.items()}
+        key = (cand.disc, frozenset(marks.items()))
+        classes = rendered.get(key)
         if classes is None:
-            classes = rendered[cand.disc] = [{"form": binary_gram_to_json(*abc)} for abc in cand.forms]
-        hits = frozenset(cand.excluded_by.items())
-        if hits:
-            if (cand.disc, hits) not in rendered:
-                marked = rendered[cand.disc, hits] = classes.copy()
-                for i, fact in hits:
-                    form = classes[i]["form"]
-                    marked[i] = {"form": form, "excluded_by": fact.provenance, "fact_kind": fact.kind}
-            classes = rendered[cand.disc, hits]
+            classes = rendered[key] = ClassEntries(cand.forms, marks)
         item: dict[str, Any] = {
             "alpha": cand.alpha,
             "disc": tagged(cand.disc, "derived"),

@@ -1,10 +1,13 @@
 """Golden reports: byte-for-byte JSON and text output with exit codes.
 
-Each case runs `verify` in process on a bundled example or on an edited
-copy of one, and compares stdout and the exit code with the files under
-`tests/golden/`.  The custom cases reach every way a run becomes
-`conditional`.  After a deliberate report change (a schema bump),
-rewrite the files with
+Each case runs `verify` in process on a bundled example, on an edited
+copy of one, or on an input saved under `tests/golden/`, and compares
+stdout and the exit code with the files there.  The custom cases reach
+every way a run becomes `conditional`.  `marked-differently` is a
+`certificates` benchmark input whose two resolved stages mark one
+candidate's classes differently and share the marked classes of another,
+with quotes, backslashes and non-ASCII text in its fact provenances.
+After a deliberate report change (a schema bump), rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,8 +28,10 @@ from invcycle.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def bundled(example):
-    root = resources.files("invcycle").joinpath("data", example)
+def documents(example):
+    """The input documents of a bundled example, or of one saved under tests/golden/."""
+    saved = GOLDEN / example
+    root = saved if saved.is_dir() else resources.files("invcycle").joinpath("data", example)
     return {
         name: json.loads(root.joinpath(f"{name}.json").read_text(encoding="utf-8"))
         for name in ("config", "branch", "assumptions")
@@ -84,7 +89,11 @@ def no_facts_bound(docs):
     with_bound(docs)
 
 
-# case -> (bundled example, edit of its documents or None for `verify example`)
+def as_saved(docs):
+    """No edit: a saved input runs as it is."""
+
+
+# case -> (bundled example or saved input, edit of its documents or None for `verify example`)
 CASES = {
     "example1": ("example1", None),
     "example2": ("example2", None),
@@ -100,8 +109,9 @@ CASES = {
     "example1-bound": ("example1", with_bound),
     "example2-bound": ("example2", with_bound),
     "no-facts-bound": ("example1", no_facts_bound),
+    "marked-differently": ("marked-differently", as_saved),
 }
-TEXT_CASES = ("example1", "example2", "family-gate", "example1-bound")
+TEXT_CASES = ("example1", "example2", "family-gate", "example1-bound", "marked-differently")
 RUNS = [(case, "json") for case in CASES] + [(case, "txt") for case in TEXT_CASES]
 
 
@@ -111,7 +121,7 @@ def run(case, fmt, workdir):
     if edit is None:
         argv = ["example", example[-1]]
     else:
-        docs = copy.deepcopy(bundled(example))
+        docs = copy.deepcopy(documents(example))
         edit(docs)
         argv = ["custom"]
         for name, doc in docs.items():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from invcycle.jsonio import (
     _PAYLOAD_FIELDS,
     STAGE_NAMES,
+    ClassEntries,
     InputError,
     ParseError,
     SchemaError,
@@ -465,6 +466,25 @@ def matrices(draw):
     return matrix
 
 
+FORMS = st.lists(st.tuples(st.integers(), st.integers(), st.integers()), min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def class_records(draw):
+    """ClassEntries records for one document, in drawn order: a marked and
+    an unmarked record over one forms, the marked one twice, a record over
+    empty forms, and a few more drawn from those and other forms."""
+    forms = draw(FORMS)
+    marked_at = draw(st.sets(st.integers(0, len(forms) - 1), min_size=1))
+    marked = ClassEntries(forms, {i: (draw(TEXT), draw(TEXT)) for i in marked_at})
+    unmarked, empty = ClassEntries(forms, {}), ClassEntries((), {})
+    others = draw(FORMS)
+    other = ClassEntries(others, {i: (draw(TEXT), draw(TEXT)) for i in draw(st.sets(st.integers(0, len(others) - 1)))})
+    pool = [marked, unmarked, empty, other]
+    extra = draw(st.lists(st.sampled_from(pool), max_size=4))
+    return draw(st.permutations([marked, unmarked, empty, marked, other, *extra]))
+
+
 class TestCanonicalDump:
     def test_sorted_and_newline_terminated(self):
         text = dumps_canonical({"b": 1, "a": [2, 1]})
@@ -531,11 +551,32 @@ class TestCanonicalDump:
             document = [document, {"k": document}]
         assert dumps_canonical(document) == stdlib_canonical(document)
 
+    @settings(max_examples=150, deadline=None)
+    @given(records=class_records(), data=st.data())
+    def test_class_entries_match_stdlib(self, records, data):
+        # Each record at its own depth: records at one depth share an
+        # indent, so a marked copy and its forms' unmarked text meet there
+        # in either order.
+        depths = [data.draw(st.integers(0, 3)) for _ in records]
+
+        def document(convert):
+            items = []
+            for record, depth in zip(records, depths):
+                item = convert(record)
+                for level in range(depth):
+                    item = [item] if level % 2 else {"k": item}
+                items.append(item)
+            return {"classes": items, "first": items[0]}
+
+        expected = stdlib_canonical(document(list))
+        assert dumps_canonical(document(lambda record: record)) == expected
+
     def test_leaves_no_reference_cycle(self):
         # A cycle would keep the parts list alive until the cyclic collector
         # ran.  The stdlib's indent path, nested closures, leaves one.
         report = run_example(1)
-        expected = stdlib_canonical(report)
+        golden = Path(__file__).resolve().parent / "golden" / "example1.json"
+        expected = golden.read_text(encoding="utf-8")
         gc.collect()
         gc.disable()
         try:
@@ -615,6 +656,21 @@ def test_schema_fiber_token_pattern_matches_the_parser(token):
     except FiberTokenError:
         parsed = False
     assert in_schema == parsed == (token in FIBER_TOKENS_ACCEPTED)
+
+
+@pytest.mark.parametrize("key, value", [("intString", "12\n"), ("fiberToken", "I5\n")])
+def test_schema_and_parser_refuse_a_trailing_newline(key, value):
+    """Python's re, which jsonschema uses, matches $ before a final newline;
+    the patterns end at the end of input instead, as the parser does."""
+    defs = load_schema()["$defs"]
+    assert jsonschema.Draft202012Validator(defs[key]).is_valid(value.rstrip("\n"))
+    assert not jsonschema.Draft202012Validator(defs[key]).is_valid(value)
+    if key == "intString":
+        with pytest.raises(ParseError):
+            parse_int_entry(value, "entry")
+    else:
+        with pytest.raises(FiberTokenError):
+            fiber(value)
 
 
 PARSERS = {"config": parse_surface_config, "branch": parse_branch_spec, "assumptions": parse_assumptions}

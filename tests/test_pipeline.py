@@ -658,7 +658,7 @@ def generated_certificate(seed, disc):
 class TestClassWorkOncePerRun:
     """Counts, not times: a run with two resolved stages enumerates each
     candidate's classes once, builds no per-class record, and hands both
-    stages one class list where neither excludes a class."""
+    stages one `ClassEntries` where neither excludes a class."""
 
     def test_two_stages_share_the_class_work(self, monkeypatch):
         # Seed 36 draws disc(T') = 10000, so the candidates are 10000, 40000
@@ -689,12 +689,12 @@ class TestClassWorkOncePerRun:
         first, second = (item["resolution"]["certificate"] for item in report["analysis"]["resolutions"])
         untouched = [
             j for j in range(3)
-            if not any("excluded_by" in entry for entry in first[j]["classes"] + second[j]["classes"])
+            if not any("excluded_by" in entry for entry in [*first[j]["classes"], *second[j]["classes"]])
         ]
         assert untouched == [1]
         assert first[1]["classes"] is second[1]["classes"]
-        # Stages that exclude the same classes by the same facts share one
-        # marked copy too; here that is the last candidate.
+        # Stages that mark the same classes alike share one marked record
+        # too; here that is the last candidate.
         shared = [j for j in range(3) if first[j]["classes"] is second[j]["classes"]]
         assert shared == [j for j in range(3) if first[j]["classes"] == second[j]["classes"]] == [1, 2]
 

@@ -2,7 +2,8 @@
 
 `GramLattice`, `BinaryEvenForm`, `KodairaFiber`, `FiberProfile` and
 `Assumption`, which the lattice and fiber commands load, and the sixteen
-records of the pipeline modules behave as frozen dataclasses do:
+records of the pipeline modules and `jsonio.ClassEntries`, which only the
+pipeline builds, behave as frozen dataclasses do:
 field-wise equality with instances of the same class only (never with a
 plain tuple), the hash of the field tuple, `Name(field=value, ...)`
 reprs, and no assignment after construction.  None of them orders.  The
@@ -22,6 +23,7 @@ import pytest
 import invcycle
 from invcycle.jsonio import (
     Assumption,
+    ClassEntries,
     SchemaError,
     form_to_json,
     parse_assumptions,
@@ -157,7 +159,8 @@ def test_missing_and_unknown_arguments():
         Assumption("picard_maximal", {})
 
 
-# The sixteen records that only the pipeline commands load.  They behave
+# The sixteen records that only the pipeline commands load, and the class
+# entries of a report, which only they build.  They behave
 # as frozen dataclasses without ordering do; FIELDS pins each field order,
 # which the repr, the hash and positional construction follow.
 
@@ -188,6 +191,7 @@ FIELDS = {
     SpecializationResult: ("index", "verdict"),
     ShiodaTateResult: ("rho", "trivial_rank", "mw_rank", "trivial_disc", "height_lcm"),
     DiscConsistency: ("consistent", "mwl_disc", "denominator_bound", "reason"),
+    ClassEntries: ("forms", "marks"),
 }
 
 
@@ -229,6 +233,7 @@ def pipeline_records():
         (specialization_index(12, 3), specialization_index(3, 3)),
         (shioda_tate(SEED, 20), shioda_tate(SEED, 21)),
         (check, check_disc_consistency(shioda_tate(SEED, 20), 3, 1)),
+        (ClassEntries(((1, 1, 1),), {0: ("p", "not_isomorphic_to")}), ClassEntries(((1, 1, 1),), {})),
     ]
 
 
@@ -253,8 +258,9 @@ def test_pipeline_record_equality(record, other):
 
 
 # Records with a dict field: the spec's assumption maps, and a candidate's
-# excluded classes by position (so also the resolution that holds it).
-WITH_DICTS = (PipelineSpec, CandidateVerdict, DiscResolution)
+# excluded classes by position (so also the resolution that holds it, and
+# the marks of its class entries).
+WITH_DICTS = (PipelineSpec, CandidateVerdict, DiscResolution, ClassEntries)
 
 
 @pytest.mark.parametrize(
@@ -364,6 +370,16 @@ def test_candidate_classes_are_built_on_demand():
         candidate.classes = ()
 
 
+def test_class_entries_iterate_as_their_dicts():
+    entries = ClassEntries(((1, 0, 3), (2, 2, 2)), {1: ("p", "not_isomorphic_to")})
+    assert len(entries) == 2
+    assert list(entries) == [
+        {"form": [["2", "0"], ["0", "6"]]},
+        {"form": [["4", "2"], ["2", "4"]], "excluded_by": "p", "fact_kind": "not_isomorphic_to"},
+    ]
+    assert len(ClassEntries((), {})) == 0 and list(ClassEntries((), {})) == []
+
+
 # The records only store; each check lives in the jsonio parse function
 # that builds the record from a document.
 
@@ -424,7 +440,7 @@ def test_only_gram_lattice_defines_init():
             if cls.__module__.startswith("invcycle.") and cls not in records:
                 records.add(cls)
                 todo.append(cls)
-    assert len(records) == 21
+    assert len(records) == 22
     assert {cls for cls in records if "__init__" in vars(cls)} == {GramLattice}
 
 
